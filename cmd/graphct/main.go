@@ -59,10 +59,11 @@ func main() {
 	if err != nil {
 		usage("%v", err)
 	}
-	g, err := graphio.LoadFile(*path)
+	g, gCloser, err := graphio.Open(*path)
 	if err != nil {
 		fatal(err)
 	}
+	defer gCloser.Close()
 	fmt.Println("loaded", g)
 
 	model := machine.NewAnalytic(machine.DefaultConfig())

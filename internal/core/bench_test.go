@@ -114,7 +114,7 @@ func BenchmarkEngineDenseFloodExpand(b *testing.B) {
 
 // BenchmarkEngineDenseFloodCompressed is the representation A/B control:
 // the same dense flood over the delta-varint compressed graph, so the
-// streaming-decode cost on the engine's scatter and worklist sweeps is the
+// decode cost on the engine's scatter, pull and worklist walks is the
 // DenseFloodCompressed / DenseFlood ratio on identical logical work.
 func BenchmarkEngineDenseFloodCompressed(b *testing.B) {
 	g := engineGraphCompressed(b)

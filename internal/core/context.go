@@ -59,7 +59,11 @@ type VertexContext struct {
 	id     int64
 	msgs   []int64
 	halt   bool
-	nbrBuf []int64 // decode buffer for Neighbors on compressed graphs; reused across vertices
+	// Decode buffers on compressed graphs, reused across vertices: nbrBuf
+	// backs Neighbors; expandNbrs backs expanded SendToNeighbors, which
+	// must not clobber a Neighbors slice Compute may still hold.
+	nbrBuf     []int64
+	expandNbrs []int64
 }
 
 // ID returns the vertex's identifier.
@@ -87,12 +91,8 @@ func (v *VertexContext) Degree() int64 { return v.engine.graph.Degree(v.id) }
 // compressed graphs the slice is a per-context decode buffer reused for
 // the next vertex.
 func (v *VertexContext) Neighbors() []int64 {
-	g := v.engine.graph
-	if g.Compressed() {
-		v.nbrBuf = g.DecodeNeighbors(v.id, v.nbrBuf)
-		return v.nbrBuf
-	}
-	return g.Neighbors(v.id)
+	v.nbrBuf = v.engine.graph.DecodeNeighbors(v.id, v.nbrBuf)
+	return v.nbrBuf
 }
 
 // NeighborWeights returns the edge weights parallel to Neighbors. It
@@ -142,15 +142,9 @@ func (v *VertexContext) SendToNeighbors(value int64) {
 		// Expanded per-edge messages still count as broadcast traffic, not
 		// unicast — appended directly so the unicast counter (and therefore
 		// the direction decision) is identical under both treatments.
-		if e.graph.Compressed() {
-			it := e.graph.NeighborDecoder(v.id)
-			for w, ok := it.Next(); ok; w, ok = it.Next() {
-				e.sendBuf = append(e.sendBuf, Message{Dest: w, Value: value})
-			}
-		} else {
-			for _, w := range e.graph.Neighbors(v.id) {
-				e.sendBuf = append(e.sendBuf, Message{Dest: w, Value: value})
-			}
+		v.expandNbrs = e.graph.DecodeNeighbors(v.id, v.expandNbrs)
+		for _, w := range v.expandNbrs {
+			e.sendBuf = append(e.sendBuf, Message{Dest: w, Value: value})
 		}
 		e.sent += e.graph.Degree(v.id)
 		return

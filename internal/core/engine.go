@@ -102,9 +102,11 @@ type Config struct {
 	// Costs is the engine cost schedule; the zero value selects
 	// DefaultCosts.
 	Costs *CostSchedule
-	// MaxMessagesPerSuperstep bounds send-buffer growth; 0 selects 1<<28.
-	// Algorithms that exceed it (BSP triangle counting at scale) must use
-	// a streaming evaluator instead; the engine returns an error.
+	// MaxMessagesPerSuperstep bounds send-buffer growth; 0 selects 1<<28,
+	// and values above 2^31-1 act as 2^31-1 (delivery addresses the inbox
+	// through int32 cursors). Algorithms that exceed it (BSP triangle
+	// counting at scale) must use a streaming evaluator instead; the engine
+	// returns an error.
 	MaxMessagesPerSuperstep int64
 	// Obs receives host-runtime observability events: wall-clock spans
 	// for each engine phase of each superstep, per-worker busy time,
@@ -384,7 +386,7 @@ func Run(cfg Config) (*Result, error) {
 		states: res.States,
 		expand: cfg.ExpandBroadcasts,
 	}
-	scratch := &runScratch{sawUnicast: cfg.ExpandBroadcasts}
+	scratch := &runScratch{sawUnicast: cfg.ExpandBroadcasts, nbrPool: make(chan []int64, par.Workers())}
 
 	if resumeSnap == nil && sup != nil && sup.maxRetries > 0 {
 		// Capture the post-init boundary (Step = -1, in-memory only; never
@@ -628,8 +630,8 @@ func Run(cfg Config) (*Result, error) {
 		// the traffic is physically represented.
 		active, received, sent, unicast, extraIssue, extraLoads, extraStores, haltDelta := scratch.mergeCounters(numChunks)
 		live += haltDelta
-		if sent > maxMsgs {
-			return nil, &MessageCapError{Superstep: step, Sent: sent, Cap: maxMsgs}
+		if limit := min(maxMsgs, maxDeliverable); sent > limit {
+			return nil, &MessageCapError{Superstep: step, Sent: sent, Cap: limit}
 		}
 		scratch.mergeAggregates(master, numChunks)
 

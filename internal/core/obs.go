@@ -203,7 +203,7 @@ func (s *runScratch) scratchBytes(sendBuf []Message, bcasts []bcastRec, inboxOff
 	b += int64(cap(s.expandBuf)) * msgSize
 	b += int64(cap(inboxOff)+cap(inboxVal)+cap(candidates)+cap(stamp)) * 8
 	b += int64(cap(s.sendOff)+cap(s.bcastOff)) * 8
-	b += int64(cap(s.wake)+cap(s.next)+cap(s.acc)) * 8
+	b += int64(cap(s.wake)+cap(s.acc)) * 8
 	b += int64(cap(s.has))
 	b += int64(cap(s.counts)) * 4
 	b += int64(cap(s.groupOff)+cap(s.groupVal)+cap(s.rangeCnt)+cap(s.sortScratch)) * 8

@@ -146,9 +146,10 @@ func sweepTargetChunks(count int) int {
 // of collapsing into one chunk.
 const sweepVertexWork = 4
 
-// deliverParallelMin is the send-buffer size below which the sequential
-// delivery paths win on the host. Both paths produce identical output, so
-// the threshold is a pure host-speed knob.
+// deliverParallelMin is the message count below which delivery runs over
+// a single range even on a multi-worker host (see serialDeliver): fanning
+// out costs more than it saves there. Every range count produces identical
+// output, so the threshold is a pure host-speed knob.
 const deliverParallelMin = 1 << 14
 
 // hubFoldMin is the combining-path hub threshold: a destination group of
@@ -319,21 +320,25 @@ type runScratch struct {
 	// spare message buffer expandTraffic swaps against the engine's send
 	// buffer; bcastLook is the value-stamped broadcaster lookaside of the
 	// pull paths; pullBnds caches the degree-weighted destination ranges
-	// of the parallel pull (graph-constant); bcastWork / bcastBnds
-	// partition broadcast records by degree for the parallel scatter.
+	// of the multi-range pull (graph-constant) and oneRange backs the
+	// single-range one; bcastWork / bcastBnds partition broadcast records
+	// by degree for the scatter.
 	expandBuf []Message
 	bcastLook []bcastSlot
 	pullBnds  []int
+	oneRange  [2]int
 	bcastWork []int64
 	bcastBnds []int
 
-	// Sequential delivery scratch (the hoisted next/has/acc of the old
+	// nbrPool recycles neighbor decode buffers (see takeNbrs).
+	nbrPool chan []int64
+
+	// Sequential combining scratch (the hoisted has/acc of the old
 	// per-superstep allocations). has is all-false between deliveries:
 	// seqCombineDeliver re-clears the flags it set during its compaction
 	// sweep, so no O(n) zeroing is ever needed.
-	next []int64
-	has  []bool
-	acc  []int64
+	has []bool
+	acc []int64
 
 	// Parallel delivery scratch.
 	counts   []int32 // C*n destination counters, dest-major
@@ -378,6 +383,29 @@ type runScratch struct {
 type bcastSlot struct {
 	stamp int64
 	val   int64
+}
+
+// takeNbrs hands a delivery walk a neighbor decode buffer for
+// graph.DecodeNeighbors, and giveNbrs takes it back when the walk ends. On
+// compressed graphs a run thus keeps about one buffer per concurrently
+// running range, grown to the largest degree it decoded, instead of
+// allocating fresh ones per range and per pass. On flat graphs the
+// buffers are CSR slices that DecodeNeighbors never writes. A nil pool
+// (scratch built outside Run) hands out nil and drops returns.
+func (s *runScratch) takeNbrs() []int64 {
+	select {
+	case b := <-s.nbrPool:
+		return b
+	default:
+		return nil
+	}
+}
+
+func (s *runScratch) giveNbrs(b []int64) {
+	select {
+	case s.nbrPool <- b:
+	default:
+	}
 }
 
 // ensureBcastLook sizes the broadcaster lookaside (stamps start at -1,
@@ -711,7 +739,7 @@ func (s *runScratch) expandTraffic(sendBuf []Message, bcasts []bcastRec, g *grap
 	}
 	out = out[:logical]
 	pos, ui := 0, 0
-	comp := g.Compressed()
+	nbrs := s.takeNbrs()
 	for _, r := range bcasts {
 		for ui < int(r.seq) {
 			out[pos] = sendBuf[ui]
@@ -719,19 +747,13 @@ func (s *runScratch) expandTraffic(sendBuf []Message, bcasts []bcastRec, g *grap
 			ui++
 		}
 		val := r.val
-		if comp {
-			it := g.NeighborDecoder(r.src)
-			for w, ok := it.Next(); ok; w, ok = it.Next() {
-				out[pos] = Message{Dest: w, Value: val}
-				pos++
-			}
-		} else {
-			for _, w := range g.Neighbors(r.src) {
-				out[pos] = Message{Dest: w, Value: val}
-				pos++
-			}
+		nbrs = g.DecodeNeighbors(r.src, nbrs)
+		for _, w := range nbrs {
+			out[pos] = Message{Dest: w, Value: val}
+			pos++
 		}
 	}
+	s.giveNbrs(nbrs)
 	for ui < len(sendBuf) {
 		out[pos] = sendBuf[ui]
 		pos++
@@ -739,6 +761,14 @@ func (s *runScratch) expandTraffic(sendBuf []Message, bcasts []bcastRec, g *grap
 	}
 	s.expandBuf = sendBuf
 	return out
+}
+
+// serialDeliver reports whether a superstep carrying logical messages is
+// delivered over a single range: always on one host worker, and below
+// deliverParallelMin messages on any host. Every delivery kernel's output
+// is independent of its range count, so this is a pure host-speed choice.
+func serialDeliver(logical int64) bool {
+	return par.Workers() == 1 || logical < deliverParallelMin
 }
 
 // deliver routes one superstep's traffic into per-vertex inboxes — dense
@@ -753,70 +783,62 @@ func (s *runScratch) expandTraffic(sendBuf []Message, bcasts []bcastRec, g *grap
 // inboxVal may differ), so the path choice is a pure host-speed decision;
 // see deliverBcasts for the one associativity caveat.
 func (s *runScratch) deliver(sendBuf []Message, bcasts []bcastRec, logical int64, g *graph.Graph, n int64, combine func(a, b int64) int64, inboxOff *[]int64, inboxVal *[]int64, sparse bool, st int64, dir DirectionMode) int64 {
-	if len(bcasts) > 0 {
-		return s.deliverBcasts(bcasts, logical, g, n, combine, inboxOff, inboxVal, sparse, st, dir)
+	if !sparse {
+		return s.deliverDense(sendBuf, bcasts, logical, g, n, combine, inboxOff, inboxVal, st, dir)
 	}
-	sent := len(sendBuf)
-	parallel := par.Workers() > 1 && sent >= deliverParallelMin && int64(sent) < math.MaxInt32
-	if sparse {
-		s.ensureSparseInbox(n)
-		// The O(sent) lookaside paths win when the send buffer is small
-		// relative to the vertex set; once sent rivals n, the CSR build's
-		// O(n) passes are amortized and its branch-free counting sort is
-		// cheaper per message, so route through it and mirror the offsets
-		// into the lookaside afterwards.
-		if !parallel && int64(sent) < n {
-			if combine == nil {
-				return s.seqDeliverSparse(sendBuf, n, inboxVal, st)
-			}
+	s.ensureSparseInbox(n)
+	// The O(logical) lookaside paths win when the traffic is small relative
+	// to the vertex set; once it rivals n, the CSR build's O(n) passes are
+	// amortized and its branch-free counting sort is cheaper per message,
+	// so route through it and mirror the offsets into the lookaside
+	// afterwards.
+	if serialDeliver(logical) && logical < n {
+		switch {
+		case len(bcasts) > 0 && combine == nil:
+			return s.bcastScatterSparse(bcasts, logical, g, inboxVal, st)
+		case len(bcasts) > 0:
+			return s.bcastCombineSparse(bcasts, g, combine, inboxVal, st)
+		case combine == nil:
+			return s.seqDeliverSparse(sendBuf, n, inboxVal, st)
+		default:
 			return s.seqCombineDeliverSparse(sendBuf, n, combine, inboxVal, st)
 		}
-		var delivered int64
-		if combine == nil {
-			if parallel {
-				val := ensureInt64(*inboxVal, sent)
-				s.stableGroupByDest(sendBuf, n, *inboxOff, val)
-				*inboxVal = val
-				delivered = int64(sent)
-			} else {
-				delivered = s.seqDeliver(sendBuf, n, inboxOff, inboxVal)
+	}
+	delivered := s.deliverDense(sendBuf, bcasts, logical, g, n, combine, inboxOff, inboxVal, st, dir)
+	off := *inboxOff
+	stampArr, lo, hi := s.msgStamp, s.msgLo, s.msgHi
+	par.ForChunked(int(n), func(a, b int) {
+		for v := a; v < b; v++ {
+			if off[v+1] > off[v] {
+				stampArr[v] = st
+				lo[v] = off[v]
+				hi[v] = off[v+1]
 			}
-		} else if parallel {
-			delivered = s.parCombineDeliver(sendBuf, n, combine, inboxOff, inboxVal)
-		} else {
-			delivered = s.seqCombineDeliver(sendBuf, n, combine, inboxOff, inboxVal)
 		}
-		off := *inboxOff
-		stampArr, lo, hi := s.msgStamp, s.msgLo, s.msgHi
-		par.ForChunked(int(n), func(a, b int) {
-			for v := a; v < b; v++ {
-				if off[v+1] > off[v] {
-					stampArr[v] = st
-					lo[v] = off[v]
-					hi[v] = off[v+1]
-				}
-			}
-		})
-		return delivered
+	})
+	return delivered
+}
+
+// deliverDense builds the dense inbox CSR from the superstep's traffic.
+func (s *runScratch) deliverDense(sendBuf []Message, bcasts []bcastRec, logical int64, g *graph.Graph, n int64, combine func(a, b int64) int64, inboxOff *[]int64, inboxVal *[]int64, st int64, dir DirectionMode) int64 {
+	if len(bcasts) > 0 {
+		return s.deliverBcasts(bcasts, logical, g, n, combine, inboxOff, inboxVal, st, dir)
 	}
 	if combine == nil {
-		if !parallel {
-			return s.seqDeliver(sendBuf, n, inboxOff, inboxVal)
-		}
-		val := ensureInt64(*inboxVal, sent)
-		s.stableGroupByDest(sendBuf, n, *inboxOff, val)
+		val := ensureInt64(*inboxVal, len(sendBuf))
+		s.stableGroupByDest(sendBuf, n, deliverChunks(n, logical), *inboxOff, val)
 		*inboxVal = val
-		return int64(sent)
+		return int64(len(sendBuf))
 	}
-	if !parallel {
+	if serialDeliver(logical) {
 		return s.seqCombineDeliver(sendBuf, n, combine, inboxOff, inboxVal)
 	}
 	return s.parCombineDeliver(sendBuf, n, combine, inboxOff, inboxVal)
 }
 
 // deliverBcasts delivers a pure-broadcast superstep straight from its
-// records — the tentpole of the broadcast-aware message path. The paths
-// and their determinism obligations:
+// records into the dense inbox CSR — the core of the broadcast-aware
+// message path. The paths and their determinism obligations:
 //
 //   - No combiner: scatter. Walk the records in order (ascending source),
 //     scattering each record's value to its adjacency through counting-sort
@@ -843,44 +865,13 @@ func (s *runScratch) deliver(sendBuf []Message, bcasts []bcastRec, logical int64
 //     legacy left fold in the legacy order exactly, minus the intermediate
 //     buffer.
 //
-// Sparse activation routes small supersteps through O(logical) lookaside
-// twins of scatter/push-fold and mirrors the CSR offsets for big ones,
-// exactly as the legacy sparse delivery does.
-func (s *runScratch) deliverBcasts(bcasts []bcastRec, logical int64, g *graph.Graph, n int64, combine func(a, b int64) int64, inboxOff *[]int64, inboxVal *[]int64, sparse bool, st int64, dir DirectionMode) int64 {
-	if sparse {
-		s.ensureSparseInbox(n)
-		if par.Workers() == 1 && logical < n {
-			if combine == nil {
-				return s.bcastScatterSparse(bcasts, logical, g, inboxVal, st)
-			}
-			return s.bcastCombineSparse(bcasts, g, combine, inboxVal, st)
-		}
-		delivered := s.deliverBcastsDense(bcasts, logical, g, n, combine, inboxOff, inboxVal, st, dir)
-		off := *inboxOff
-		stampArr, lo, hi := s.msgStamp, s.msgLo, s.msgHi
-		par.ForChunked(int(n), func(a, b int) {
-			for v := a; v < b; v++ {
-				if off[v+1] > off[v] {
-					stampArr[v] = st
-					lo[v] = off[v]
-					hi[v] = off[v+1]
-				}
-			}
-		})
-		return delivered
-	}
-	return s.deliverBcastsDense(bcasts, logical, g, n, combine, inboxOff, inboxVal, st, dir)
-}
-
-// deliverBcastsDense builds the dense inbox CSR from broadcast records.
 // dir is the superstep's recorded direction decision (direction.go):
 // DirPull selects the pull sweeps, DirPush the push scatters/folds, and
-// DirAuto — the legacy engine, no direction layer — keeps PR 5's
-// combiner-pull heuristic. The decision never depends on the worker
-// count; parallel-vs-sequential below is the usual host-speed routing
-// within the decided direction.
-func (s *runScratch) deliverBcastsDense(bcasts []bcastRec, logical int64, g *graph.Graph, n int64, combine func(a, b int64) int64, inboxOff *[]int64, inboxVal *[]int64, st int64, dir DirectionMode) int64 {
-	parallel := par.Workers() > 1 && logical >= deliverParallelMin && logical < math.MaxInt32
+// DirAuto — the legacy engine, no direction layer — keeps the frontier-size
+// combiner-pull heuristic. The decision never depends on the worker count;
+// each kernel picks its range count (serialDeliver) within the decided
+// direction.
+func (s *runScratch) deliverBcasts(bcasts []bcastRec, logical int64, g *graph.Graph, n int64, combine func(a, b int64) int64, inboxOff *[]int64, inboxVal *[]int64, st int64, dir DirectionMode) int64 {
 	if combine == nil {
 		// Pull without a combiner: stamp the records into the lookaside and
 		// let every destination read its stamped neighbors in adjacency
@@ -890,15 +881,9 @@ func (s *runScratch) deliverBcastsDense(bcasts []bcastRec, logical int64, g *gra
 		// the record stream — one broadcast per vertex per superstep — and
 		// the lookaside fill falls back to the scatter if it is violated).
 		if dir == DirPull && s.fillBcastLookasideScatter(bcasts, n, st) {
-			if parallel {
-				return s.parBcastPullScatter(g, n, inboxOff, inboxVal, st, logical)
-			}
-			return s.seqBcastPullScatter(g, n, inboxOff, inboxVal, st, logical)
+			return s.parBcastPullScatter(g, n, inboxOff, inboxVal, st, logical)
 		}
-		if parallel {
-			return s.parBcastScatter(bcasts, logical, g, n, inboxOff, inboxVal)
-		}
-		return s.seqBcastScatter(bcasts, logical, g, n, inboxOff, inboxVal)
+		return s.parBcastScatter(bcasts, logical, g, n, inboxOff, inboxVal)
 	}
 	pull := dir == DirPull
 	if dir == DirAuto {
@@ -906,83 +891,37 @@ func (s *runScratch) deliverBcastsDense(bcasts []bcastRec, logical int64, g *gra
 	}
 	if pull {
 		s.fillBcastLookaside(bcasts, combine, n, st)
-		if parallel {
-			return s.parBcastPull(g, n, combine, inboxOff, inboxVal, st)
-		}
-		return s.seqBcastPull(g, n, combine, inboxOff, inboxVal, st)
+		return s.parBcastPull(g, n, combine, inboxOff, inboxVal, st, logical)
 	}
 	return s.seqBcastCombine(bcasts, g, n, combine, inboxOff, inboxVal)
 }
 
-// seqBcastScatter is the record-driven twin of seqDeliver: a stable
-// counting sort whose input is enumerated from the records' adjacencies
-// instead of a materialized buffer. Identical output to seqDeliver on the
-// expanded messages.
-func (s *runScratch) seqBcastScatter(bcasts []bcastRec, logical int64, g *graph.Graph, n int64, inboxOff *[]int64, inboxVal *[]int64) int64 {
-	off := *inboxOff
-	for i := range off {
-		off[i] = 0
-	}
-	comp := g.Compressed()
-	for _, r := range bcasts {
-		if comp {
-			it := g.NeighborDecoder(r.src)
-			for w, ok := it.Next(); ok; w, ok = it.Next() {
-				off[w+1]++
-			}
-		} else {
-			for _, w := range g.Neighbors(r.src) {
-				off[w+1]++
-			}
-		}
-	}
-	for v := int64(0); v < n; v++ {
-		off[v+1] += off[v]
-	}
-	val := ensureInt64(*inboxVal, int(logical))
-	s.next = ensureInt64(s.next, int(n))
-	next := s.next
-	copy(next, off[:n])
-	for _, r := range bcasts {
-		v := r.val
-		if comp {
-			it := g.NeighborDecoder(r.src)
-			for w, ok := it.Next(); ok; w, ok = it.Next() {
-				val[next[w]] = v
-				next[w]++
-			}
-		} else {
-			for _, w := range g.Neighbors(r.src) {
-				val[next[w]] = v
-				next[w]++
-			}
-		}
-	}
-	*inboxVal = val
-	return logical
-}
-
-// parBcastScatter is the parallel record-driven counting sort: records are
-// split into degree-weighted ranges (the broadcast analogue of
+// parBcastScatter is the record-driven counting sort: records are split
+// into degree-weighted ranges (the broadcast analogue of
 // stableGroupByDest's message chunks), each range counts per-(destination,
 // range) into an int32 matrix, and an exclusive prefix sum in (dest,
 // range) order yields cursors that realize the unique stable grouping —
 // (destination, record order, adjacency order), which is exactly the
 // per-edge send order. The fan-in tracks the worker count freely for the
-// same reason stableGroupByDest's does.
+// same reason stableGroupByDest's does; with one range the matrix is a
+// plain per-destination count.
 func (s *runScratch) parBcastScatter(bcasts []bcastRec, logical int64, g *graph.Graph, n int64, inboxOff *[]int64, inboxVal *[]int64) int64 {
 	nrec := len(bcasts)
-	s.bcastWork = ensureInt64(s.bcastWork, nrec+1)
-	bw := s.bcastWork
-	par.ForChunked(nrec, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			bw[i] = g.Degree(bcasts[i].src) + 1
-		}
-	})
-	bw[nrec] = 0
-	par.ParallelExclusivePrefixSum(bw)
-	C := deliverChunks(n)
-	s.bcastBnds = par.WeightedBoundaries(s.bcastBnds, nrec, C, func(i int) int64 { return bw[i] })
+	C := deliverChunks(n, logical)
+	if C == 1 {
+		s.bcastBnds = append(s.bcastBnds[:0], 0, nrec)
+	} else {
+		s.bcastWork = ensureInt64(s.bcastWork, nrec+1)
+		bw := s.bcastWork
+		par.ForChunked(nrec, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				bw[i] = g.Degree(bcasts[i].src) + 1
+			}
+		})
+		bw[nrec] = 0
+		par.ParallelExclusivePrefixSum(bw)
+		s.bcastBnds = par.WeightedBoundaries(s.bcastBnds, nrec, C, func(i int) int64 { return bw[i] })
+	}
 	bnds := s.bcastBnds
 	R := len(bnds) - 1
 	rw := int64(R)
@@ -994,21 +933,16 @@ func (s *runScratch) parBcastScatter(bcasts []bcastRec, logical int64, g *graph.
 	counts := s.counts
 	par.FillInt32(counts, 0)
 
-	comp := g.Compressed()
 	par.ForBoundaryChunks(bnds, func(r, lo, hi int) {
 		rc := int64(r)
+		nbrs := s.takeNbrs()
 		for _, rec := range bcasts[lo:hi] {
-			if comp {
-				it := g.NeighborDecoder(rec.src)
-				for w, ok := it.Next(); ok; w, ok = it.Next() {
-					counts[w*rw+rc]++
-				}
-			} else {
-				for _, w := range g.Neighbors(rec.src) {
-					counts[w*rw+rc]++
-				}
+			nbrs = g.DecodeNeighbors(rec.src, nbrs)
+			for _, w := range nbrs {
+				counts[w*rw+rc]++
 			}
 		}
+		s.giveNbrs(nbrs)
 	})
 	par.ParallelExclusivePrefixSum32(counts)
 
@@ -1023,25 +957,18 @@ func (s *runScratch) parBcastScatter(bcasts []bcastRec, logical int64, g *graph.
 	val := ensureInt64(*inboxVal, int(logical))
 	par.ForBoundaryChunks(bnds, func(r, lo, hi int) {
 		rc := int64(r)
+		nbrs := s.takeNbrs()
 		for _, rec := range bcasts[lo:hi] {
 			v := rec.val
-			if comp {
-				it := g.NeighborDecoder(rec.src)
-				for w, ok := it.Next(); ok; w, ok = it.Next() {
-					i := w*rw + rc
-					p := counts[i]
-					counts[i] = p + 1
-					val[p] = v
-				}
-			} else {
-				for _, w := range g.Neighbors(rec.src) {
-					i := w*rw + rc
-					p := counts[i]
-					counts[i] = p + 1
-					val[p] = v
-				}
+			nbrs = g.DecodeNeighbors(rec.src, nbrs)
+			for _, w := range nbrs {
+				i := w*rw + rc
+				p := counts[i]
+				counts[i] = p + 1
+				val[p] = v
 			}
 		}
+		s.giveNbrs(nbrs)
 	})
 	*inboxVal = val
 	return logical
@@ -1066,128 +993,104 @@ func (s *runScratch) fillBcastLookasideScatter(bcasts []bcastRec, n, st int64) b
 	return true
 }
 
-// seqBcastPullScatter is the sequential combinerless pull sweep: every
-// destination walks its own neighbor list and copies each stamped
-// neighbor's broadcast value into its inbox slot, in adjacency order. On
-// an undirected graph with sorted adjacency and unique record sources the
-// per-vertex inbox sequence — stamped neighbors ascending — is exactly
-// the push scatter's (record order is ascending source), so the output
-// equals seqBcastScatter bit for bit while never materializing a message.
-func (s *runScratch) seqBcastPullScatter(g *graph.Graph, n int64, inboxOff *[]int64, inboxVal *[]int64, st, logical int64) int64 {
-	look := s.bcastLook
-	off := *inboxOff
-	// One slack slot past the logical count: the branchless compaction
-	// below stores every probed value at the cursor unconditionally and
-	// only advances the cursor for stamped neighbors, so the final store
-	// can land one past the last delivered entry. Stamped density in a
-	// pull-worthy superstep is far from 0 or 1, so the data-dependent
-	// branch would mispredict on a large fraction of the edge walk.
-	val := ensureInt64(*inboxVal, int(logical)+1)
-	var pos int64
-	comp := g.Compressed()
-	for v := int64(0); v < n; v++ {
-		off[v] = pos
-		if comp {
-			it := g.NeighborDecoder(v)
-			for w, ok := it.Next(); ok; w, ok = it.Next() {
-				slot := look[w]
-				val[pos] = slot.val
-				var hit int64
-				if slot.stamp == st {
-					hit = 1
-				}
-				pos += hit
-			}
-		} else {
-			for _, w := range g.Neighbors(v) {
-				slot := look[w]
-				val[pos] = slot.val
-				var hit int64
-				if slot.stamp == st {
-					hit = 1
-				}
-				pos += hit
-			}
-		}
+// pullRanges returns the destination ranges of the pull sweeps: one range
+// when the superstep is delivered serially, else degree-weighted ranges
+// cached once per run (they depend only on the graph). Each destination's
+// inbox entries come from its own neighbor walk, so the partition cannot
+// perturb the output.
+func (s *runScratch) pullRanges(g *graph.Graph, n, logical int64) []int {
+	if serialDeliver(logical) {
+		s.oneRange = [2]int{0, int(n)}
+		return s.oneRange[:]
 	}
-	off[n] = pos
-	*inboxVal = val
-	return pos
-}
-
-// parBcastPullScatter runs the combinerless pull sweep over the cached
-// degree-weighted destination ranges (the same partition parBcastPull
-// uses). Pass 1 counts each range's stamped-neighbor total — a full count,
-// not parBcastPull's early-exit receiver count, since every stamped
-// neighbor contributes one inbox entry — pass 2 fills through per-range
-// cursors. Each destination's entries are confined to its own adjacency
-// walk, so the partition cannot perturb the output.
-func (s *runScratch) parBcastPullScatter(g *graph.Graph, n int64, inboxOff *[]int64, inboxVal *[]int64, st, logical int64) int64 {
-	goff := g.Offsets()
 	if len(s.pullBnds) == 0 {
+		goff := g.Offsets()
 		s.pullBnds = par.WeightedBoundaries(s.pullBnds, int(n),
 			sweepTargetChunks(int(n)), func(i int) int64 {
 				return goff[i] + int64(i)
 			})
 	}
-	bnds := s.pullBnds
+	return s.pullBnds
+}
+
+// pullCursors returns each pull range's first inbox slot, with the inbox
+// length at index len(bnds)-1. A single range needs no count pass — it
+// starts at 0 and bound caps its length; otherwise count(lo, hi) sizes
+// every range and an exclusive prefix sum places them.
+func (s *runScratch) pullCursors(bnds []int, bound int64, count func(lo, hi int) int64) []int64 {
 	numR := len(bnds) - 1
-	s.rangeCnt = ensureInt64(s.rangeCnt, numR)
-	rangeCnt := s.rangeCnt
+	s.rangeCnt = ensureInt64(s.rangeCnt, numR+1)
+	cur := s.rangeCnt
+	if numR == 1 {
+		cur[0], cur[1] = 0, bound
+		return cur
+	}
+	par.ForBoundaryChunks(bnds, func(r, lo, hi int) { cur[r] = count(lo, hi) })
+	cur[numR] = 0
+	par.ExclusivePrefixSum(cur)
+	return cur
+}
+
+// parBcastPullScatter is the combinerless pull sweep: every destination
+// walks its own neighbor list and copies each stamped neighbor's broadcast
+// value into its inbox slot, in adjacency order. On an undirected graph
+// with sorted adjacency and unique record sources the per-vertex inbox
+// sequence — stamped neighbors ascending — is exactly the push scatter's
+// (record order is ascending source), so the output equals parBcastScatter
+// bit for bit while never materializing a message.
+//
+// The copy is branchless: it stores every probed value at the cursor and
+// advances the cursor only for stamped neighbors, since stamped density in
+// a pull-worthy superstep is far from 0 or 1 and the data-dependent branch
+// would mispredict on a large fraction of the edge walk. A store at the
+// range's end would land on the next range's first slot, so the walk stops
+// once the cursor reaches it. A single range is sized by one slack slot
+// past the logical count instead, which the stores can never pass.
+func (s *runScratch) parBcastPullScatter(g *graph.Graph, n int64, inboxOff *[]int64, inboxVal *[]int64, st, logical int64) int64 {
 	look := s.bcastLook
-	// The count pass is branchless (stamped density makes the branch
-	// unpredictable); the fill pass keeps the conditional store because a
-	// range's cursor sits exactly on the next range's first slot once its
-	// own entries are exhausted — an unconditional slack store there would
-	// race with the neighboring worker.
-	comp := g.Compressed()
-	par.ForBoundaryChunks(bnds, func(r, lo, hi int) {
+	bnds := s.pullRanges(g, n, logical)
+	numR := len(bnds) - 1
+	cur := s.pullCursors(bnds, logical+1, func(lo, hi int) int64 {
 		var cnt int64
+		nbrs := s.takeNbrs()
 		for v := lo; v < hi; v++ {
-			if comp {
-				it := g.NeighborDecoder(int64(v))
-				for w, ok := it.Next(); ok; w, ok = it.Next() {
-					var hit int64
-					if look[w].stamp == st {
-						hit = 1
-					}
-					cnt += hit
+			nbrs = g.DecodeNeighbors(int64(v), nbrs)
+			for _, w := range nbrs {
+				var hit int64
+				if look[w].stamp == st {
+					hit = 1
 				}
-			} else {
-				for _, w := range g.Neighbors(int64(v)) {
-					var hit int64
-					if look[w].stamp == st {
-						hit = 1
-					}
-					cnt += hit
-				}
+				cnt += hit
 			}
 		}
-		rangeCnt[r] = cnt
+		s.giveNbrs(nbrs)
+		return cnt
 	})
-	delivered := par.ExclusivePrefixSum(rangeCnt)
 	off := *inboxOff
-	val := ensureInt64(*inboxVal, int(delivered))
+	val := ensureInt64(*inboxVal, int(cur[numR]))
+	var delivered int64
 	par.ForBoundaryChunks(bnds, func(r, lo, hi int) {
-		pos := rangeCnt[r]
+		pos, end := cur[r], cur[r+1]
+		nbrs := s.takeNbrs()
 		for v := lo; v < hi; v++ {
 			off[v] = pos
-			if comp {
-				it := g.NeighborDecoder(int64(v))
-				for w, ok := it.Next(); ok; w, ok = it.Next() {
-					if slot := look[w]; slot.stamp == st {
-						val[pos] = slot.val
-						pos++
-					}
+			nbrs = g.DecodeNeighbors(int64(v), nbrs)
+			for _, w := range nbrs {
+				if pos == end {
+					break
 				}
-			} else {
-				for _, w := range g.Neighbors(int64(v)) {
-					if slot := look[w]; slot.stamp == st {
-						val[pos] = slot.val
-						pos++
-					}
+				slot := look[w]
+				val[pos] = slot.val
+				var hit int64
+				if slot.stamp == st {
+					hit = 1
 				}
+				pos += hit
 			}
+		}
+		s.giveNbrs(nbrs)
+		if r == numR-1 {
+			delivered = pos
 		}
 	})
 	off[n] = delivered
@@ -1211,125 +1114,51 @@ func (s *runScratch) fillBcastLookaside(bcasts []bcastRec, combine func(a, b int
 	}
 }
 
-// seqBcastPull is the sequential pull-side fold: every destination walks
-// its own neighbor list against the broadcaster lookaside and folds the
-// stamped values in neighbor order, writing its combined inbox entry
-// directly — no intermediate messages exist at any point.
-func (s *runScratch) seqBcastPull(g *graph.Graph, n int64, combine func(a, b int64) int64, inboxOff *[]int64, inboxVal *[]int64, st int64) int64 {
+// parBcastPull is the pull-side fold: every destination walks its own
+// neighbor list against the broadcaster lookaside and folds the stamped
+// values in neighbor order, writing its combined inbox entry directly — no
+// intermediate messages exist at any point. Each destination's fold is
+// confined to its own neighbor list, so the range partition cannot perturb
+// results. With several ranges a count pass (early-exiting on the first
+// stamped neighbor) places each range's receivers; a single range is
+// bounded by n.
+func (s *runScratch) parBcastPull(g *graph.Graph, n int64, combine func(a, b int64) int64, inboxOff *[]int64, inboxVal *[]int64, st, logical int64) int64 {
 	look := s.bcastLook
-	off := *inboxOff
-	val := ensureInt64(*inboxVal, int(n))
-	var pos int64
-	comp := g.Compressed()
-	for v := int64(0); v < n; v++ {
-		off[v] = pos
-		var acc int64
-		found := false
-		if comp {
-			it := g.NeighborDecoder(v)
-			for w, ok := it.Next(); ok; w, ok = it.Next() {
-				if slot := look[w]; slot.stamp == st {
-					if found {
-						acc = combine(acc, slot.val)
-					} else {
-						acc = slot.val
-						found = true
-					}
-				}
-			}
-		} else {
-			for _, w := range g.Neighbors(v) {
-				if slot := look[w]; slot.stamp == st {
-					if found {
-						acc = combine(acc, slot.val)
-					} else {
-						acc = slot.val
-						found = true
-					}
-				}
-			}
-		}
-		if found {
-			val[pos] = acc
-			pos++
-		}
-	}
-	off[n] = pos
-	*inboxVal = val
-	return pos
-}
-
-// parBcastPull runs the pull fold over degree-weighted destination ranges
-// (cached once per run — they depend only on the graph). Each destination's
-// fold is confined to its own neighbor list, so the partition cannot
-// perturb results. Pass 1 counts receivers per range (early-exiting on the
-// first stamped neighbor); pass 2 folds and compacts.
-func (s *runScratch) parBcastPull(g *graph.Graph, n int64, combine func(a, b int64) int64, inboxOff *[]int64, inboxVal *[]int64, st int64) int64 {
-	goff := g.Offsets()
-	if len(s.pullBnds) == 0 {
-		s.pullBnds = par.WeightedBoundaries(s.pullBnds, int(n),
-			sweepTargetChunks(int(n)), func(i int) int64 {
-				return goff[i] + int64(i)
-			})
-	}
-	bnds := s.pullBnds
+	bnds := s.pullRanges(g, n, logical)
 	numR := len(bnds) - 1
-	s.rangeCnt = ensureInt64(s.rangeCnt, numR)
-	rangeCnt := s.rangeCnt
-	look := s.bcastLook
-	comp := g.Compressed()
-	par.ForBoundaryChunks(bnds, func(r, lo, hi int) {
+	cur := s.pullCursors(bnds, n, func(lo, hi int) int64 {
 		var cnt int64
+		nbrs := s.takeNbrs()
 		for v := lo; v < hi; v++ {
-			if comp {
-				it := g.NeighborDecoder(int64(v))
-				for w, ok := it.Next(); ok; w, ok = it.Next() {
-					if look[w].stamp == st {
-						cnt++
-						break
-					}
-				}
-			} else {
-				for _, w := range g.Neighbors(int64(v)) {
-					if look[w].stamp == st {
-						cnt++
-						break
-					}
+			nbrs = g.DecodeNeighbors(int64(v), nbrs)
+			for _, w := range nbrs {
+				if look[w].stamp == st {
+					cnt++
+					break
 				}
 			}
 		}
-		rangeCnt[r] = cnt
+		s.giveNbrs(nbrs)
+		return cnt
 	})
-	delivered := par.ExclusivePrefixSum(rangeCnt)
 	off := *inboxOff
-	val := ensureInt64(*inboxVal, int(delivered))
+	val := ensureInt64(*inboxVal, int(cur[numR]))
+	var delivered int64
 	par.ForBoundaryChunks(bnds, func(r, lo, hi int) {
-		pos := rangeCnt[r]
+		pos := cur[r]
+		nbrs := s.takeNbrs()
 		for v := lo; v < hi; v++ {
 			off[v] = pos
 			var acc int64
 			found := false
-			if comp {
-				it := g.NeighborDecoder(int64(v))
-				for w, ok := it.Next(); ok; w, ok = it.Next() {
-					if slot := look[w]; slot.stamp == st {
-						if found {
-							acc = combine(acc, slot.val)
-						} else {
-							acc = slot.val
-							found = true
-						}
-					}
-				}
-			} else {
-				for _, w := range g.Neighbors(int64(v)) {
-					if slot := look[w]; slot.stamp == st {
-						if found {
-							acc = combine(acc, slot.val)
-						} else {
-							acc = slot.val
-							found = true
-						}
+			nbrs = g.DecodeNeighbors(int64(v), nbrs)
+			for _, w := range nbrs {
+				if slot := look[w]; slot.stamp == st {
+					if found {
+						acc = combine(acc, slot.val)
+					} else {
+						acc = slot.val
+						found = true
 					}
 				}
 			}
@@ -1337,6 +1166,10 @@ func (s *runScratch) parBcastPull(g *graph.Graph, n int64, combine func(a, b int
 				val[pos] = acc
 				pos++
 			}
+		}
+		s.giveNbrs(nbrs)
+		if r == numR-1 {
+			delivered = pos
 		}
 	})
 	off[n] = delivered
@@ -1355,32 +1188,21 @@ func (s *runScratch) seqBcastCombine(bcasts []bcastRec, g *graph.Graph, n int64,
 	}
 	has, acc := s.has, s.acc
 	var delivered int64
-	comp := g.Compressed()
+	nbrs := s.takeNbrs()
 	for _, r := range bcasts {
 		v := r.val
-		if comp {
-			it := g.NeighborDecoder(r.src)
-			for w, ok := it.Next(); ok; w, ok = it.Next() {
-				if has[w] {
-					acc[w] = combine(acc[w], v)
-				} else {
-					has[w] = true
-					acc[w] = v
-					delivered++
-				}
-			}
-		} else {
-			for _, w := range g.Neighbors(r.src) {
-				if has[w] {
-					acc[w] = combine(acc[w], v)
-				} else {
-					has[w] = true
-					acc[w] = v
-					delivered++
-				}
+		nbrs = g.DecodeNeighbors(r.src, nbrs)
+		for _, w := range nbrs {
+			if has[w] {
+				acc[w] = combine(acc[w], v)
+			} else {
+				has[w] = true
+				acc[w] = v
+				delivered++
 			}
 		}
 	}
+	s.giveNbrs(nbrs)
 	val := ensureInt64(*inboxVal, int(delivered))
 	off := *inboxOff
 	var pos int64
@@ -1406,28 +1228,16 @@ func (s *runScratch) bcastScatterSparse(bcasts []bcastRec, logical int64, g *gra
 	}
 	receivers := s.recvList[:0]
 	stamp, lo, hi := s.msgStamp, s.msgLo, s.msgHi
-	comp := g.Compressed()
+	nbrs := s.takeNbrs()
 	for _, r := range bcasts {
-		if comp {
-			it := g.NeighborDecoder(r.src)
-			for w, ok := it.Next(); ok; w, ok = it.Next() {
-				if stamp[w] != st {
-					stamp[w] = st
-					hi[w] = 1
-					receivers = append(receivers, w)
-				} else {
-					hi[w]++
-				}
-			}
-		} else {
-			for _, w := range g.Neighbors(r.src) {
-				if stamp[w] != st {
-					stamp[w] = st
-					hi[w] = 1
-					receivers = append(receivers, w)
-				} else {
-					hi[w]++
-				}
+		nbrs = g.DecodeNeighbors(r.src, nbrs)
+		for _, w := range nbrs {
+			if stamp[w] != st {
+				stamp[w] = st
+				hi[w] = 1
+				receivers = append(receivers, w)
+			} else {
+				hi[w]++
 			}
 		}
 	}
@@ -1441,19 +1251,13 @@ func (s *runScratch) bcastScatterSparse(bcasts []bcastRec, logical int64, g *gra
 	val := ensureInt64(*inboxVal, int(logical))
 	for _, r := range bcasts {
 		v := r.val
-		if comp {
-			it := g.NeighborDecoder(r.src)
-			for w, ok := it.Next(); ok; w, ok = it.Next() {
-				val[hi[w]] = v
-				hi[w]++
-			}
-		} else {
-			for _, w := range g.Neighbors(r.src) {
-				val[hi[w]] = v
-				hi[w]++
-			}
+		nbrs = g.DecodeNeighbors(r.src, nbrs)
+		for _, w := range nbrs {
+			val[hi[w]] = v
+			hi[w]++
 		}
 	}
+	s.giveNbrs(nbrs)
 	*inboxVal = val
 	return logical
 }
@@ -1470,32 +1274,21 @@ func (s *runScratch) bcastCombineSparse(bcasts []bcastRec, g *graph.Graph, combi
 	}
 	receivers := s.recvList[:0]
 	stamp, lo, hi, acc := s.msgStamp, s.msgLo, s.msgHi, s.acc
-	comp := g.Compressed()
+	nbrs := s.takeNbrs()
 	for _, r := range bcasts {
 		v := r.val
-		if comp {
-			it := g.NeighborDecoder(r.src)
-			for w, ok := it.Next(); ok; w, ok = it.Next() {
-				if stamp[w] != st {
-					stamp[w] = st
-					acc[w] = v
-					receivers = append(receivers, w)
-				} else {
-					acc[w] = combine(acc[w], v)
-				}
-			}
-		} else {
-			for _, w := range g.Neighbors(r.src) {
-				if stamp[w] != st {
-					stamp[w] = st
-					acc[w] = v
-					receivers = append(receivers, w)
-				} else {
-					acc[w] = combine(acc[w], v)
-				}
+		nbrs = g.DecodeNeighbors(r.src, nbrs)
+		for _, w := range nbrs {
+			if stamp[w] != st {
+				stamp[w] = st
+				acc[w] = v
+				receivers = append(receivers, w)
+			} else {
+				acc[w] = combine(acc[w], v)
 			}
 		}
 	}
+	s.giveNbrs(nbrs)
 	delivered := int64(len(receivers))
 	val := ensureInt64(*inboxVal, int(delivered))
 	for i, v := range receivers {
@@ -1507,10 +1300,10 @@ func (s *runScratch) bcastCombineSparse(bcasts []bcastRec, g *graph.Graph, combi
 	return delivered
 }
 
-// seqDeliverSparse is the sparse counterpart of seqDeliver: it touches
-// only the receivers (O(sent) work, no O(n) offset rebuild), writing the
-// stamped lookaside. msgHi serves triple duty: per-destination count, then
-// scatter cursor, then final end offset.
+// seqDeliverSparse is the sparse counterpart of stableGroupByDest: it
+// touches only the receivers (O(sent) work, no O(n) offset rebuild),
+// writing the stamped lookaside. msgHi serves triple duty: per-destination
+// count, then scatter cursor, then final end offset.
 func (s *runScratch) seqDeliverSparse(sendBuf []Message, n int64, inboxVal *[]int64, st int64) int64 {
 	if cap(s.recvList) < int(n) {
 		s.recvList = make([]int64, 0, n)
@@ -1574,31 +1367,6 @@ func (s *runScratch) seqCombineDeliverSparse(sendBuf []Message, n int64, combine
 	return delivered
 }
 
-// seqDeliver is the sequential non-combining counting sort, with the
-// cursor array hoisted into run-level scratch.
-func (s *runScratch) seqDeliver(sendBuf []Message, n int64, inboxOff *[]int64, inboxVal *[]int64) int64 {
-	off := *inboxOff
-	for i := range off {
-		off[i] = 0
-	}
-	for _, m := range sendBuf {
-		off[m.Dest+1]++
-	}
-	for v := int64(0); v < n; v++ {
-		off[v+1] += off[v]
-	}
-	val := ensureInt64(*inboxVal, len(sendBuf))
-	s.next = ensureInt64(s.next, int(n))
-	next := s.next
-	copy(next, off[:n])
-	for _, m := range sendBuf {
-		val[next[m.Dest]] = m.Value
-		next[m.Dest]++
-	}
-	*inboxVal = val
-	return int64(len(sendBuf))
-}
-
 // seqCombineDeliver is the sequential combining path: one slot per
 // destination that received anything, folded in send order. The has flags
 // are cleared during the compaction sweep, restoring the all-false
@@ -1635,39 +1403,46 @@ func (s *runScratch) seqCombineDeliver(sendBuf []Message, n int64, combine func(
 	return delivered
 }
 
+// maxDeliverable is the most logical messages one superstep may carry,
+// whatever Config.MaxMessagesPerSuperstep allows: the counting sorts
+// address the inbox through int32 cursors.
+const maxDeliverable = math.MaxInt32
+
 // deliverChunkBudget is the counting-sort scratch budget: the fan-in C
 // keeps C*n int32 destination counters, and C is chosen so that array
 // stays within this many entries (64 MiB) however wide the host is.
 const deliverChunkBudget = 1 << 24
 
-// deliverChunks picks the counting-sort fan-in: enough chunks to feed the
-// workers (2 per worker so the tail balances), bounded only by the
-// scratch-memory budget rather than a fixed cap — a 48-core host gets
-// 96-way fan-in on any graph up to ~175k vertices and degrades
-// proportionally beyond. The sort's output is the unique stable grouping
-// whatever C is, so tracking the worker count here cannot perturb results.
-func deliverChunks(n int64) int {
+// deliverChunks picks the counting-sort fan-in for a superstep carrying
+// logical messages: one chunk when it is delivered serially
+// (serialDeliver), else enough chunks to feed the workers (2 per worker so
+// the tail balances), bounded only by the scratch-memory budget rather
+// than a fixed cap — a 48-core host gets 96-way fan-in on any graph up to
+// ~175k vertices and degrades proportionally beyond. The sort's output is
+// the unique stable grouping whatever C is, so tracking the worker count
+// here cannot perturb results.
+func deliverChunks(n, logical int64) int {
+	if serialDeliver(logical) {
+		return 1
+	}
 	C := par.Workers() * 2
 	if n > 0 {
 		if byBudget := int(deliverChunkBudget / n); byBudget < C {
 			C = byBudget
 		}
 	}
-	if C < 2 {
-		C = 2
-	}
-	return C
+	return max(C, 1)
 }
 
 // stableGroupByDest scatters sendBuf's values into val grouped by
 // destination, preserving send order within each destination (a stable
-// two-pass counting sort), and fills off (length n+1) with the group
-// boundaries. The output is the unique stable grouping, independent of the
-// internal chunking, so the fan-in C may track the worker count freely.
-// Requires len(sendBuf) < 2^31 (the caller gates on this).
-func (s *runScratch) stableGroupByDest(sendBuf []Message, n int64, off, val []int64) {
+// two-pass counting sort over fan-in C message chunks), and fills off
+// (length n+1) with the group boundaries. The output is the unique stable
+// grouping, independent of the internal chunking, so the fan-in may track
+// the worker count freely (deliverChunks). Requires len(sendBuf) <= 2^31-1
+// (maxDeliverable).
+func (s *runScratch) stableGroupByDest(sendBuf []Message, n int64, C int, off, val []int64) {
 	sent := len(sendBuf)
-	C := deliverChunks(n)
 	cw := int64(C)
 	need := n * cw
 	if int64(cap(s.counts)) < need {
@@ -1746,7 +1521,7 @@ func (s *runScratch) parCombineDeliver(sendBuf []Message, n int64, combine func(
 	sent := len(sendBuf)
 	s.groupOff = ensureInt64(s.groupOff, int(n)+1)
 	s.groupVal = ensureInt64(s.groupVal, sent)
-	s.stableGroupByDest(sendBuf, n, s.groupOff, s.groupVal)
+	s.stableGroupByDest(sendBuf, n, deliverChunks(n, int64(sent)), s.groupOff, s.groupVal)
 	gOff, gVal := s.groupOff, s.groupVal
 
 	// Fold ranges weighted by messages-per-destination (+1 per vertex so
@@ -1899,24 +1674,17 @@ func (s *runScratch) nextWorklist(candidates []int64, step int, wake []int64, de
 			out = append(out, m.Dest)
 		}
 	}
+	nbrs := s.takeNbrs()
 	for _, r := range bcasts {
-		if g.Compressed() {
-			it := g.NeighborDecoder(r.src)
-			for w, ok := it.Next(); ok; w, ok = it.Next() {
-				if stamp[w] != st {
-					stamp[w] = st
-					out = append(out, w)
-				}
-			}
-		} else {
-			for _, w := range g.Neighbors(r.src) {
-				if stamp[w] != st {
-					stamp[w] = st
-					out = append(out, w)
-				}
+		nbrs = g.DecodeNeighbors(r.src, nbrs)
+		for _, w := range nbrs {
+			if stamp[w] != st {
+				stamp[w] = st
+				out = append(out, w)
 			}
 		}
 	}
+	s.giveNbrs(nbrs)
 	for _, v := range wake {
 		if stamp[v] != st {
 			stamp[v] = st

@@ -1,10 +1,10 @@
 package core
 
 // White-box equivalence tests for the host-parallel building blocks: each
-// parallel path must produce bit-identical output to its sequential twin
-// on the same input, for any worker count. These call the paths directly,
-// bypassing the size thresholds that route small inputs to the sequential
-// code in production.
+// parallel path must produce bit-identical output to a sequential
+// reference on the same input, for any worker count and fan-in. These call
+// the paths directly, bypassing the size thresholds that route small
+// inputs to one range or to the sequential code in production.
 
 import (
 	"testing"
@@ -24,6 +24,22 @@ func randomMessages(r *rng.Xoshiro, count int, n int64) []Message {
 	return buf
 }
 
+// groupByDest is the reference stable grouping: destinations ascending,
+// each destination's values in send order.
+func groupByDest(buf []Message, n int64) (off, val []int64) {
+	groups := make([][]int64, n)
+	for _, m := range buf {
+		groups[m.Dest] = append(groups[m.Dest], m.Value)
+	}
+	off = make([]int64, n+1)
+	val = []int64{}
+	for v, grp := range groups {
+		val = append(val, grp...)
+		off[v+1] = int64(len(val))
+	}
+	return off, val
+}
+
 func TestStableGroupByDestMatchesSequential(t *testing.T) {
 	r := rng.New(1)
 	for _, tc := range []struct {
@@ -34,30 +50,29 @@ func TestStableGroupByDestMatchesSequential(t *testing.T) {
 	} {
 		buf := randomMessages(r, tc.count, tc.n)
 
-		var seqOff, seqVal []int64
-		seqOff = make([]int64, tc.n+1)
-		seq := &runScratch{}
-		seq.seqDeliver(buf, tc.n, &seqOff, &seqVal)
+		seqOff, seqVal := groupByDest(buf, tc.n)
 
 		for _, w := range []int{1, 4, 9} {
-			func() {
-				defer par.SetWorkers(par.SetWorkers(w))
-				off := make([]int64, tc.n+1)
-				val := make([]int64, tc.count)
-				(&runScratch{}).stableGroupByDest(buf, tc.n, off, val)
-				for i := range seqOff {
-					if off[i] != seqOff[i] {
-						t.Fatalf("count=%d n=%d w=%d: off[%d] = %d, want %d",
-							tc.count, tc.n, w, i, off[i], seqOff[i])
+			for _, C := range []int{1, 2 * w} {
+				func() {
+					defer par.SetWorkers(par.SetWorkers(w))
+					off := make([]int64, tc.n+1)
+					val := make([]int64, tc.count)
+					(&runScratch{}).stableGroupByDest(buf, tc.n, C, off, val)
+					for i := range seqOff {
+						if off[i] != seqOff[i] {
+							t.Fatalf("count=%d n=%d w=%d C=%d: off[%d] = %d, want %d",
+								tc.count, tc.n, w, C, i, off[i], seqOff[i])
+						}
 					}
-				}
-				for i := range seqVal {
-					if val[i] != seqVal[i] {
-						t.Fatalf("count=%d n=%d w=%d: val[%d] = %d, want %d",
-							tc.count, tc.n, w, i, val[i], seqVal[i])
+					for i := range seqVal {
+						if val[i] != seqVal[i] {
+							t.Fatalf("count=%d n=%d w=%d C=%d: val[%d] = %d, want %d",
+								tc.count, tc.n, w, C, i, val[i], seqVal[i])
+						}
 					}
-				}
-			}()
+				}()
+			}
 		}
 	}
 }
@@ -185,14 +200,10 @@ func TestSparseDeliverMatchesDense(t *testing.T) {
 		for _, combine := range []func(a, b int64) int64{nil, Sum} {
 			buf := randomMessages(r, tc.count, tc.n)
 
-			denseOff := make([]int64, tc.n+1)
-			var denseVal []int64
-			dense := &runScratch{}
-			var wantDelivered int64
-			if combine == nil {
-				wantDelivered = dense.seqDeliver(buf, tc.n, &denseOff, &denseVal)
-			} else {
-				wantDelivered = dense.seqCombineDeliver(buf, tc.n, combine, &denseOff, &denseVal)
+			denseOff, denseVal := groupByDest(buf, tc.n)
+			wantDelivered := int64(tc.count)
+			if combine != nil {
+				wantDelivered = (&runScratch{}).seqCombineDeliver(buf, tc.n, combine, &denseOff, &denseVal)
 			}
 
 			for _, w := range []int{1, 6} {

@@ -18,6 +18,7 @@ import (
 	"graphxmt/internal/ckpt"
 	"graphxmt/internal/core"
 	"graphxmt/internal/faultinject"
+	"graphxmt/internal/gen"
 	"graphxmt/internal/graph"
 )
 
@@ -25,40 +26,64 @@ import (
 // its compressed twin, at 1, 3, and 8 workers, under both broadcast
 // treatments (records expanded at delivery vs per-edge expansion at send).
 // Every cell must be bit-identical — Result and trace profile — to the
-// flat 1-worker record-delivery baseline.
+// flat 1-worker record-delivery baseline. The sparse cases run on
+// degree-4 random graphs, whose frontiers grow slowly enough that some
+// supersteps carry at least the 2^14 logical messages that keep broadcast
+// records yet fewer than n: only those reach the O(logical) record scatter
+// and fold at one worker, and the push fold at more. The BFS graph is big
+// enough (n = 2^17) for such a superstep to also stay under n/4 and take
+// nextWorklist's small-worklist receiver walk.
 func TestEngineRepMatrix(t *testing.T) {
-	flat := detGraph(t)
-	comp, err := graph.Compress(flat)
-	if err != nil {
-		t.Fatal(err)
+	small := detGraph(t)
+	er := func(n int64) *graph.Graph {
+		g, err := gen.ErdosRenyi(n, 2*n, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
 	}
+	mid, big := er(1<<15), er(1<<17)
 	cases := []struct {
 		name string
+		g    *graph.Graph
 		mk   func() core.Config
 	}{
-		{"bfs/dense", func() core.Config {
+		{"bfs/dense", small, func() core.Config {
 			return core.Config{Program: bspalg.BFSProgram{Source: 0}}
 		}},
-		{"cc/combiner", func() core.Config {
+		{"bfs/sparse", big, func() core.Config {
+			return core.Config{Program: bspalg.BFSProgram{Source: 0}, SparseActivation: true}
+		}},
+		{"cc/combiner", small, func() core.Config {
 			return core.Config{Program: bspalg.CCProgram{}, Combiner: core.Min}
 		}},
-		{"pagerank/combiner", func() core.Config {
+		{"cc/sparse", mid, func() core.Config {
+			return core.Config{Program: bspalg.CCProgram{}, SparseActivation: true}
+		}},
+		{"cc/sparse-combiner", mid, func() core.Config {
+			return core.Config{Program: bspalg.CCProgram{}, Combiner: core.Min, SparseActivation: true}
+		}},
+		{"pagerank/combiner", small, func() core.Config {
 			return core.Config{
 				Program:  bspalg.PageRankProgram{DampingMilli: 850, Rounds: 15},
 				Combiner: core.Sum,
 			}
 		}},
 	}
-	reps := []struct {
-		name string
-		g    *graph.Graph
-	}{
-		{"flat", flat},
-		{"compressed", comp},
-	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			baseRes, basePh := runDet(t, flat, 1, tc.mk)
+			comp, err := graph.Compress(tc.g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reps := []struct {
+				name string
+				g    *graph.Graph
+			}{
+				{"flat", tc.g},
+				{"compressed", comp},
+			}
+			baseRes, basePh := runDet(t, tc.g, 1, tc.mk)
 			for _, rep := range reps {
 				for _, w := range []int{1, 3, 8} {
 					for _, expand := range []bool{false, true} {

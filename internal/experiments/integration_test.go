@@ -29,10 +29,11 @@ func TestEndToEndPipeline(t *testing.T) {
 	if err := graphio.WriteBinaryFile(gpath, g); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := graphio.LoadFile(gpath)
+	g2, closer, err := graphio.Open(gpath)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer closer.Close()
 
 	// Run BFS on the reloaded graph, recording a profile.
 	rec := trace.NewRecorder()

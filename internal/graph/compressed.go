@@ -101,9 +101,9 @@ func uvarintLen(x uint64) int {
 // step — truncated blocks, overlong varints (more than 10 bytes or 64-bit
 // overflow), neighbors outside [0, n), and trailing bytes all return a
 // typed *DecodeError without panicking or reading outside data. The hot
-// paths (DecodeNeighbors, NeighborDecoder) skip these checks because the
-// blob is validated at construction; this entry point is for loaders,
-// verification sweeps, and the fuzz harness.
+// path (DecodeNeighbors) skips these checks because the blob is validated
+// at construction; this entry point is for loaders, verification sweeps,
+// and the fuzz harness.
 func DecodeAdjacency(src, n, deg int64, data []byte, buf []int64) ([]int64, error) {
 	fail := func(off int, reason string) ([]int64, error) {
 		return nil, &DecodeError{Vertex: src, Offset: off, Reason: reason}
@@ -173,11 +173,12 @@ func fastUvarint(b []byte, pos int) (uint64, int) {
 	}
 }
 
-// DecodeNeighbors returns the adjacency list of v. On flat graphs it is
+// DecodeNeighbors returns the adjacency list of v — the one neighbor walk
+// every hot path uses, whatever the representation. On flat graphs it is
 // Neighbors — the shared CSR slice, zero copy, buf unused. On compressed
 // graphs it decodes into buf (reusing its capacity, growing as needed) and
 // returns buf[:degree]; passing the previous call's return value amortizes
-// the allocation to the run's maximum degree. Callers must not modify the
+// the allocation to the walk's maximum degree. Callers must not modify the
 // result on flat graphs.
 func (g *Graph) DecodeNeighbors(v int64, buf []int64) []int64 {
 	if g.coff == nil {
@@ -202,56 +203,6 @@ func (g *Graph) DecodeNeighbors(v int64, buf []int64) []int64 {
 		buf[i] = prev
 	}
 	return buf
-}
-
-// NeighborDecoder streams the adjacency list of one vertex without
-// materializing it — the decode-on-scatter path: a broadcast scatter or
-// pull sweep walks edges one Next at a time, so pure-broadcast supersteps
-// on a compressed graph never allocate decoded lists. The zero value is an
-// exhausted decoder. On flat graphs it iterates the shared CSR slice.
-type NeighborDecoder struct {
-	flat []int64 // flat-representation source; nil on compressed graphs
-	data []byte  // vertex's compressed block
-	pos  int
-	prev int64
-	i    int64
-	deg  int64
-	src  int64
-}
-
-// NeighborDecoder returns a streaming decoder positioned at v's first
-// neighbor.
-func (g *Graph) NeighborDecoder(v int64) NeighborDecoder {
-	if g.coff == nil {
-		nbr := g.adj[g.offsets[v]:g.offsets[v+1]]
-		return NeighborDecoder{flat: nbr, deg: int64(len(nbr))}
-	}
-	return NeighborDecoder{
-		data: g.blob[g.coff[v]:g.coff[v+1]],
-		deg:  g.offsets[v+1] - g.offsets[v],
-		src:  v,
-	}
-}
-
-// Next returns the next neighbor, or ok=false when the list is exhausted.
-func (d *NeighborDecoder) Next() (int64, bool) {
-	if d.i >= d.deg {
-		return 0, false
-	}
-	if d.flat != nil {
-		w := d.flat[d.i]
-		d.i++
-		return w, true
-	}
-	u, next := fastUvarint(d.data, d.pos)
-	d.pos = next
-	if d.i == 0 {
-		d.prev = d.src + unzigzag(u)
-	} else {
-		d.prev += int64(u)
-	}
-	d.i++
-	return d.prev, true
 }
 
 // Compress returns the delta-varint compressed twin of g, sharing the

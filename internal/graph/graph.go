@@ -87,7 +87,7 @@ func (g *Graph) Degree(v int64) int64 {
 // Neighbors returns the adjacency list of v. On flat graphs it is the
 // shared, read-only CSR slice; callers must not modify it. On compressed
 // graphs it decodes into a fresh slice — hot loops should prefer
-// DecodeNeighbors (caller-owned buffer) or NeighborDecoder (streaming).
+// DecodeNeighbors, which reuses a caller-owned buffer.
 func (g *Graph) Neighbors(v int64) []int64 {
 	if g.coff != nil {
 		return g.DecodeNeighbors(v, nil)
@@ -128,7 +128,7 @@ func (g *Graph) HasEdge(u, v int64) bool {
 func (g *Graph) Offsets() []int64 { return g.offsets }
 
 // Adjacency exposes the flat adjacency array; nil on compressed graphs
-// (use NumEdges for the entry count, Neighbors/NeighborDecoder to read).
+// (use NumEdges for the entry count, Neighbors/DecodeNeighbors to read).
 // Read-only.
 func (g *Graph) Adjacency() []int64 { return g.adj }
 

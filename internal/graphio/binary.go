@@ -11,12 +11,10 @@ package graphio
 
 import (
 	"bufio"
-	"compress/gzip"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"graphxmt/internal/graph"
 )
@@ -175,34 +173,4 @@ func ReadBinaryFile(path string) (*graph.Graph, error) {
 	}
 	defer f.Close()
 	return ReadBinary(f)
-}
-
-// LoadFile reads a graph from path, choosing the format by extension:
-// ".dimacs" and ".txt" parse as DIMACS text, ".el"/".edges" as a plain
-// edge list, anything else as the binary snapshot. A trailing ".gz" on any
-// of these decompresses transparently. The cmd/ tools share this loader.
-func LoadFile(path string) (*graph.Graph, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var r io.Reader = f
-	base := path
-	if strings.HasSuffix(path, ".gz") {
-		gz, err := gzip.NewReader(f)
-		if err != nil {
-			return nil, fmt.Errorf("graphio: opening gzip %s: %w", path, err)
-		}
-		defer gz.Close()
-		r = gz
-		base = strings.TrimSuffix(path, ".gz")
-	}
-	switch {
-	case strings.HasSuffix(base, ".dimacs") || strings.HasSuffix(base, ".txt"):
-		return ReadDIMACS(r, DIMACSOptions{})
-	case strings.HasSuffix(base, ".el") || strings.HasSuffix(base, ".edges"):
-		return ReadEdgeList(r, EdgeListOptions{})
-	}
-	return ReadBinary(r)
 }

@@ -247,7 +247,10 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestLoadFileByExtension(t *testing.T) {
+// TestOpenConventionalNames: files under the names the CLIs write load
+// through Open, and a missing file is an error. Open sniffs content, so
+// the extensions only matter to the reader.
+func TestOpenConventionalNames(t *testing.T) {
 	g := gen.CliqueChain(2, 3)
 	dir := t.TempDir()
 
@@ -255,10 +258,11 @@ func TestLoadFileByExtension(t *testing.T) {
 	if err := WriteBinaryFile(binPath, g); err != nil {
 		t.Fatal(err)
 	}
-	fromBin, err := LoadFile(binPath)
+	fromBin, closer, err := Open(binPath)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer closer.Close()
 	graphsEqual(t, g, fromBin)
 
 	dimacsPath := filepath.Join(dir, "g.dimacs")
@@ -272,13 +276,14 @@ func TestLoadFileByExtension(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	fromText, err := LoadFile(dimacsPath)
+	fromText, closer, err := Open(dimacsPath)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer closer.Close()
 	graphsEqual(t, g, fromText)
 
-	if _, err := LoadFile(filepath.Join(dir, "missing.gxmt")); err == nil {
+	if _, _, err := Open(filepath.Join(dir, "missing.gxmt")); err == nil {
 		t.Fatal("expected error for missing file")
 	}
 }
@@ -364,7 +369,9 @@ func TestEdgeListDirected(t *testing.T) {
 	}
 }
 
-func TestLoadFileGzip(t *testing.T) {
+// TestOpenGzip: gzip-wrapped CSR1 and DIMACS load through Open, and a
+// file that only claims to be gzip by name is rejected cleanly.
+func TestOpenGzip(t *testing.T) {
 	g := gen.CliqueChain(2, 3)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "g.gxmt.gz")
@@ -382,13 +389,14 @@ func TestLoadFileGzip(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := LoadFile(path)
+	g2, closer, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer closer.Close()
 	graphsEqual(t, g, g2)
 
-	// Gzipped text formats resolve by the inner extension.
+	// Gzipped text formats are sniffed inside the gzip stream.
 	tpath := filepath.Join(dir, "g.dimacs.gz")
 	tf, err := os.Create(tpath)
 	if err != nil {
@@ -404,18 +412,20 @@ func TestLoadFileGzip(t *testing.T) {
 	if err := tf.Close(); err != nil {
 		t.Fatal(err)
 	}
-	g3, err := LoadFile(tpath)
+	g3, closer, err := Open(tpath)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer closer.Close()
 	graphsEqual(t, g, g3)
 
-	// Corrupt gzip header errors cleanly.
+	// A ".gz" name without gzip content is not decompressed, and the bytes
+	// match no format.
 	bad := filepath.Join(dir, "bad.gxmt.gz")
 	if err := os.WriteFile(bad, []byte("not gzip"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadFile(bad); err == nil {
-		t.Fatal("expected gzip error")
+	if _, _, err := Open(bad); err == nil {
+		t.Fatal("expected an error for bytes in no known format")
 	}
 }
