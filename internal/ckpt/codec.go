@@ -13,53 +13,17 @@ import (
 	"graphxmt/internal/trace"
 )
 
-// File format: an 8-byte magic, a little-endian uint32 format version, a
-// little-endian uint32 CRC32 (Castagnoli) over the payload, then the
-// payload. The payload is a flat little-endian encoding of Snapshot with
-// length-prefixed slices and strings; every length is validated against
-// the remaining bytes during decode, so a truncated or bit-flipped file
-// yields a typed CorruptError, never a panic or a silently wrong state.
-//
-// Version history:
-//
-//	1 — initial format. Runs predate the chunk-schedule fingerprint field
-//	    and were always taken under fixed vertex-count chunking, so decode
-//	    fills Schedule with "fixed".
-//	2 — Fingerprint gains Schedule (the sweep chunk schedule name), encoded
-//	    after the Sparse flag.
-//	3 — Snapshot gains the in-flight broadcast records (BcastSrc/BcastVal/
-//	    BcastSeq), encoded after MsgVal. v1/v2 checkpoints predate broadcast
-//	    records — their boundary traffic is fully expanded in MsgDest/MsgVal
-//	    — so decode leaves the record slices empty and resume re-delivers
-//	    the expanded queue, which is bit-identical.
-//	4 — direction-optimizing supersteps: Fingerprint gains Direction (the
-//	    run's direction mode, encoded after Schedule; older checkpoints
-//	    decode as "auto", the only behavior that existed then) and Snapshot
-//	    gains the per-superstep decision sequence Directions plus the
-//	    heuristic's Visited bitmap (encoded after DeliveredPerStep; empty
-//	    in older checkpoints and when the direction layer was inactive).
-//	5 — run supervisor: Fingerprint gains Retries (Config.MaxRetries,
-//	    encoded after Direction; older checkpoints decode as 0) and
-//	    Snapshot gains RetriesPerStep, the per-superstep retry counts
-//	    (encoded after Visited; empty in older checkpoints and when the
-//	    retry supervisor was inactive).
-//	6 — graph representations: Fingerprint gains Rep (the graph's adjacency
-//	    representation, "flat" or "compressed", encoded after Retries).
-//	    The GraphCRC of a compressed graph hashes the delta-varint bytes
-//	    directly, so the same logical graph has a different CRC per
-//	    representation; older checkpoints decode as "flat", the only
-//	    representation that existed then.
-//	7 — batched multi-source runs: Fingerprint gains Lanes (the batch's
-//	    lane assignment as a comma-separated source list, encoded after
-//	    Rep; "" for unbatched runs and older checkpoints) and Snapshot
-//	    gains Aux, the program-owned auxiliary state (core.AuxProgram —
-//	    e.g. MultiBFS's packed per-lane levels; encoded after
-//	    RetriesPerStep, empty for programs without aux state and for
-//	    older checkpoints).
+// File format (version 8): an 8-byte magic, a little-endian uint32 format
+// version, a little-endian uint32 CRC32 (Castagnoli) over the payload,
+// then the payload. The payload is a flat little-endian encoding of
+// Snapshot, fields in Encode's order, with length-prefixed slices and
+// strings; every length is validated against the remaining bytes during
+// decode, so a truncated or bit-flipped file yields a typed CorruptError,
+// never a panic or a silently wrong state. Any other version is a
+// VersionError, which ResumeLatestValid skips like a damaged file.
 const (
-	magic      = "GXMTCKP1"
-	version    = 7
-	minVersion = 1
+	magic   = "GXMTCKP1"
+	version = 8
 
 	// Ext is the checkpoint file extension.
 	Ext = ".gxckpt"
@@ -78,14 +42,15 @@ func (e *CorruptError) Error() string {
 	return fmt.Sprintf("ckpt: corrupt checkpoint %s: %s", e.Path, e.Reason)
 }
 
-// VersionError reports a checkpoint written by an unknown format version.
+// VersionError reports a checkpoint written by any format version other
+// than the current one.
 type VersionError struct {
 	Path    string
 	Version uint32
 }
 
 func (e *VersionError) Error() string {
-	return fmt.Sprintf("ckpt: checkpoint %s has unsupported format version %d (supported: %d-%d)", e.Path, e.Version, minVersion, version)
+	return fmt.Sprintf("ckpt: checkpoint %s has unsupported format version %d (supported: %d)", e.Path, e.Version, version)
 }
 
 // MismatchError reports a fingerprint field that differs between a
@@ -269,7 +234,6 @@ func Encode(s *Snapshot) []byte {
 	e.str(s.FP.Label)
 	e.boolean(s.FP.Combiner)
 	e.boolean(s.FP.Sparse)
-	e.str(s.FP.Schedule)
 	e.str(s.FP.Direction)
 	e.i64(s.FP.Retries)
 	e.str(s.FP.Rep)
@@ -324,15 +288,8 @@ func Encode(s *Snapshot) []byte {
 	return e.buf
 }
 
-// Decode parses a current-version snapshot payload. path is used only in
-// error messages.
+// Decode parses a snapshot payload. path is used only in error messages.
 func Decode(payload []byte, path string) (*Snapshot, error) {
-	return decodeVersion(payload, path, version)
-}
-
-// decodeVersion parses a snapshot payload written by the given format
-// version (Load dispatches on the header).
-func decodeVersion(payload []byte, path string, ver uint32) (*Snapshot, error) {
 	d := &decoder{data: payload, path: path}
 	s := &Snapshot{}
 	s.FP.GraphCRC = d.u32()
@@ -342,34 +299,10 @@ func decodeVersion(payload []byte, path string, ver uint32) (*Snapshot, error) {
 	s.FP.Label = d.str()
 	s.FP.Combiner = d.boolean()
 	s.FP.Sparse = d.boolean()
-	if ver >= 2 {
-		s.FP.Schedule = d.str()
-	} else {
-		// Version-1 checkpoints predate selectable chunk schedules and were
-		// always taken under the fixed schedule.
-		s.FP.Schedule = "fixed"
-	}
-	if ver >= 4 {
-		s.FP.Direction = d.str()
-	} else {
-		// Pre-v4 checkpoints predate direction modes; every run behaved as
-		// direction "auto".
-		s.FP.Direction = "auto"
-	}
-	if ver >= 5 {
-		s.FP.Retries = d.i64()
-	}
-	if ver >= 6 {
-		s.FP.Rep = d.str()
-	} else {
-		// Pre-v6 checkpoints predate compressed adjacency; every run was
-		// flat.
-		s.FP.Rep = "flat"
-	}
-	if ver >= 7 {
-		// Pre-v7 checkpoints predate batching; Lanes stays "".
-		s.FP.Lanes = d.str()
-	}
+	s.FP.Direction = d.str()
+	s.FP.Retries = d.i64()
+	s.FP.Rep = d.str()
+	s.FP.Lanes = d.str()
 	s.FP.MaxSupersteps = d.i64()
 	s.FP.MaxMessages = d.i64()
 	s.FP.CostsCRC = d.u32()
@@ -380,27 +313,19 @@ func decodeVersion(payload []byte, path string, ver uint32) (*Snapshot, error) {
 	s.Halted = d.bools()
 	s.MsgDest = d.int64s()
 	s.MsgVal = d.int64s()
-	if ver >= 3 {
-		s.BcastSrc = d.int64s()
-		s.BcastVal = d.int64s()
-		s.BcastSeq = d.int64s()
-	}
+	s.BcastSrc = d.int64s()
+	s.BcastVal = d.int64s()
+	s.BcastSeq = d.int64s()
 	s.ActivePerStep = d.int64s()
 	s.MessagesPerStep = d.int64s()
 	s.DeliveredPerStep = d.int64s()
-	if ver >= 4 {
-		s.Directions = d.int64s()
-		s.Visited = d.bools()
-	}
-	if ver >= 5 {
-		s.RetriesPerStep = d.int64s()
-	}
-	if ver >= 7 {
-		// Program-defined length — no structural cross-check is possible
-		// beyond the slice-length sanity d.length already applies; a
-		// mismatched length is caught by the engine at restore time.
-		s.Aux = d.int64s()
-	}
+	s.Directions = d.int64s()
+	s.Visited = d.bools()
+	s.RetriesPerStep = d.int64s()
+	// Program-defined length — no structural cross-check is possible
+	// beyond the slice-length sanity d.length already applies; the engine
+	// checks the length against the resuming program.
+	s.Aux = d.int64s()
 
 	decAggs := func() []Aggregate {
 		n := d.length(13) // name len + value + seeded lower-bounds an entry
@@ -598,6 +523,16 @@ func tornWrite(final string, s *Snapshot) (string, error) {
 
 // Load reads, validates, and decodes the checkpoint at path.
 func Load(path string) (*Snapshot, error) {
+	payload, err := readPayload(path)
+	if err != nil {
+		return nil, err
+	}
+	return Decode(payload, path)
+}
+
+// readPayload reads the checkpoint at path and returns its payload once
+// the header shape, magic, version, and payload CRC all check out.
+func readPayload(path string) ([]byte, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -608,8 +543,7 @@ func Load(path string) (*Snapshot, error) {
 	if string(data[:8]) != magic {
 		return nil, &CorruptError{Path: path, Reason: fmt.Sprintf("bad magic %q", data[:8])}
 	}
-	v := binary.LittleEndian.Uint32(data[8:12])
-	if v < minVersion || v > version {
+	if v := binary.LittleEndian.Uint32(data[8:12]); v != version {
 		return nil, &VersionError{Path: path, Version: v}
 	}
 	want := binary.LittleEndian.Uint32(data[12:16])
@@ -617,7 +551,7 @@ func Load(path string) (*Snapshot, error) {
 	if got := crc32.Checksum(payload, castagnoli); got != want {
 		return nil, &CorruptError{Path: path, Reason: fmt.Sprintf("checksum mismatch: header %08x, payload %08x", want, got)}
 	}
-	return decodeVersion(payload, path, v)
+	return payload, nil
 }
 
 // LatestPath returns the highest-step periodic checkpoint in dir, or ""
@@ -643,30 +577,13 @@ func LatestPath(dir string) (string, error) {
 }
 
 // Verify cheaply checks the structural integrity of the checkpoint at
-// path: header shape, magic, known version, and payload CRC. It does not
+// path: header shape, magic, current version, and payload CRC. It does not
 // decode the payload or compare fingerprints — a nil return means the
 // bytes on disk are the bytes that were written, which is the guarantee
 // Prune and the fallback chain need.
 func Verify(path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	if len(data) < 16 {
-		return &CorruptError{Path: path, Reason: fmt.Sprintf("file is %d bytes, shorter than the %d-byte header", len(data), 16)}
-	}
-	if string(data[:8]) != magic {
-		return &CorruptError{Path: path, Reason: fmt.Sprintf("bad magic %q", data[:8])}
-	}
-	v := binary.LittleEndian.Uint32(data[8:12])
-	if v < minVersion || v > version {
-		return &VersionError{Path: path, Version: v}
-	}
-	want := binary.LittleEndian.Uint32(data[12:16])
-	if got := crc32.Checksum(data[16:], castagnoli); got != want {
-		return &CorruptError{Path: path, Reason: fmt.Sprintf("checksum mismatch: header %08x, payload %08x", want, got)}
-	}
-	return nil
+	_, err := readPayload(path)
+	return err
 }
 
 // NoValidCheckpointError reports that ResumeLatestValid walked every

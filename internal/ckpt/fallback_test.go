@@ -7,6 +7,7 @@ package ckpt_test
 // actually resume from.
 
 import (
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"os"
@@ -66,6 +67,42 @@ func TestResumeLatestValidFallsBack(t *testing.T) {
 	want := []string{ckpt.FileName(4), ckpt.FileName(3)}
 	if len(skips) != 2 || skips[0] != want[0] || skips[1] != want[1] {
 		t.Fatalf("skips = %v, want %v (newest first)", skips, want)
+	}
+}
+
+// TestResumeLatestValidSkipsOldVersion: a newest checkpoint whose header
+// names format version 7 is intact bytes in a format this build no longer
+// reads. The chain skips it once, as a VersionError, and resumes from the
+// older current-version file.
+func TestResumeLatestValidSkipsOldVersion(t *testing.T) {
+	dir := t.TempDir()
+	fp := writeChain(t, dir, 3)
+	newest := filepath.Join(dir, ckpt.FileName(2))
+	data, err := os.ReadFile(newest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(data[8:12], 7)
+	if err := os.WriteFile(newest, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var skips []string
+	s, path, err := ckpt.ResumeLatestValid(dir, fp, func(p string, cause error) {
+		var ve *ckpt.VersionError
+		if !errors.As(cause, &ve) || ve.Version != 7 {
+			t.Fatalf("skip of %s: cause %v, want VersionError for version 7", p, cause)
+		}
+		skips = append(skips, filepath.Base(p))
+	})
+	if err != nil {
+		t.Fatalf("ResumeLatestValid: %v", err)
+	}
+	if s.Step != 1 || path != filepath.Join(dir, ckpt.FileName(1)) {
+		t.Fatalf("resumed step %d from %s, want step 1 from %s", s.Step, path, ckpt.FileName(1))
+	}
+	if len(skips) != 1 || skips[0] != ckpt.FileName(2) {
+		t.Fatalf("skips = %v, want [%s]", skips, ckpt.FileName(2))
 	}
 }
 

@@ -155,13 +155,11 @@ func benchName(w int) string {
 	return fmt.Sprintf("w=%d", w)
 }
 
-// Degree-skew benchmarks: the A/B pair for the chunk-schedule comparison.
-// Each benchmark runs as sched=degree / sched=fixed sub-benchmarks over the
-// same graph, so `go test -bench EngineSkew` (or cmd/benchgate on its JSON
-// output) reads the degree-weighted schedule's effect directly. The star is
-// the worst case fixed chunking can face — one chunk owns nearly every edge —
-// and its hub inbox exercises the combining path's segment prefold; the RMAT
-// graph is the paper's skewed-degree workload.
+// Degree-skew benchmarks: the degree-weighted sweep schedule on the graphs
+// that stress it. The star is the worst case for sweep balance — one
+// vertex owns nearly every edge — and its hub inbox exercises the
+// combining path's segment prefold; the RMAT graph is the paper's
+// skewed-degree workload.
 var (
 	skewBenchOnce sync.Once
 	skewBenchRMAT *graph.Graph
@@ -181,32 +179,20 @@ func skewGraphs(b *testing.B) (star, rmat *graph.Graph) {
 	return skewBenchStar, skewBenchRMAT
 }
 
-func benchSchedules(b *testing.B, run func(b *testing.B, sched core.ChunkSchedule)) {
-	for _, s := range []core.ChunkSchedule{core.ChunkDegree, core.ChunkFixed} {
-		b.Run("sched="+s.String(), func(b *testing.B) { run(b, s) })
-	}
-}
-
 func BenchmarkEngineSkewStarFlood(b *testing.B) {
 	star, _ := skewGraphs(b)
-	benchSchedules(b, func(b *testing.B, s core.ChunkSchedule) {
-		benchRun(b, core.Config{Graph: star, Program: benchFloodMin{}, Combiner: core.Min, Chunking: s})
-	})
+	benchRun(b, core.Config{Graph: star, Program: benchFloodMin{}, Combiner: core.Min})
 }
 
 func BenchmarkEngineSkewRMATDenseFlood(b *testing.B) {
 	_, rmat := skewGraphs(b)
-	benchSchedules(b, func(b *testing.B, s core.ChunkSchedule) {
-		benchRun(b, core.Config{Graph: rmat, Program: benchFloodMin{}, Combiner: core.Min, Chunking: s})
-	})
+	benchRun(b, core.Config{Graph: rmat, Program: benchFloodMin{}, Combiner: core.Min})
 }
 
 func BenchmarkEngineSkewRMATSparseFlood(b *testing.B) {
 	_, rmat := skewGraphs(b)
-	benchSchedules(b, func(b *testing.B, s core.ChunkSchedule) {
-		benchRun(b, core.Config{Graph: rmat, Program: benchFloodMin{},
-			SparseActivation: true, Combiner: core.Min, Chunking: s})
-	})
+	benchRun(b, core.Config{Graph: rmat, Program: benchFloodMin{},
+		SparseActivation: true, Combiner: core.Min})
 }
 
 // BenchmarkEngineSkewTC runs the message-heaviest algorithm (triangle
@@ -218,14 +204,13 @@ func BenchmarkEngineSkewTC(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchSchedules(b, func(b *testing.B, s core.ChunkSchedule) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := bspalg.Triangles(g, nil, core.WithChunking(s)); err != nil {
-				b.Fatal(err)
-			}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := bspalg.Triangles(g, nil); err != nil {
+			b.Fatal(err)
 		}
-	})
+	}
 }
 
 // Broadcast-path benchmarks on the star: the extreme frontier-vs-edges

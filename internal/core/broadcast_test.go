@@ -147,7 +147,7 @@ func TestBroadcastMixedSendOrder(t *testing.T) {
 }
 
 // TestBroadcastCheckpointRoundTrip: a dense flood killed at a boundary
-// whose in-flight traffic is pure broadcast writes a v3 checkpoint carrying
+// whose in-flight traffic is pure broadcast writes a checkpoint carrying
 // records (not expanded messages), and resuming from it — under either
 // delivery treatment, since ExpandBroadcasts is not fingerprinted — is
 // bit-identical to the uninterrupted run.

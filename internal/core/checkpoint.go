@@ -144,7 +144,6 @@ func runFingerprint(cfg *Config, g *graph.Graph, maxSteps int, maxMsgs int64, co
 		Label:         label,
 		Combiner:      cfg.Combiner != nil,
 		Sparse:        cfg.SparseActivation,
-		Schedule:      cfg.Chunking.String(),
 		MaxSupersteps: int64(maxSteps),
 		MaxMessages:   maxMsgs,
 		CostsCRC:      costsCRC(costs),
@@ -176,8 +175,8 @@ type ckptRun struct {
 	// mid-superstep and the retry supervisor's rollback.
 	snap *ckpt.Snapshot
 	// aux is the program's live auxiliary state slice (core.AuxProgram),
-	// deep-copied into every boundary snapshot — checkpoint format v7.
-	// nil for programs without aux state.
+	// deep-copied into every boundary snapshot. nil for programs without
+	// aux state.
 	aux []int64
 }
 
@@ -235,8 +234,8 @@ func sortAggs(aggs []ckpt.Aggregate) {
 
 // record refreshes the in-memory boundary snapshot after superstep step.
 // In-flight broadcast records (sent during step, not expanded at delivery)
-// are captured alongside the unicast queue — checkpoint format v3 — so a
-// resumed run can re-deliver exactly the traffic the original run held.
+// are captured alongside the unicast queue, so a resumed run can
+// re-deliver exactly the traffic the original run held.
 func (ck *ckptRun) record(step int, live int64, res *Result, halted []bool, sendBuf []Message, bcasts []bcastRec, master *engineState, ds *dirState, rec *trace.Recorder) {
 	dest := make([]int64, len(sendBuf))
 	val := make([]int64, len(sendBuf))
@@ -253,11 +252,11 @@ func (ck *ckptRun) record(step int, live int64, res *Result, halted []bool, send
 			bsrc[i], bval[i], bseq[i] = r.src, r.val, r.seq
 		}
 	}
-	// Direction layer state — checkpoint format v4: the per-step decision
-	// sequence (so resume re-delivers under the recorded decision and the
-	// restored Result matches) and the visited bitmap (so post-resume
-	// decisions see the same unvisited-edge count the uninterrupted run
-	// would have). Both absent when the direction layer is inactive.
+	// Direction layer state: the per-step decision sequence (so resume
+	// re-delivers under the recorded decision and the restored Result
+	// matches) and the visited bitmap (so post-resume decisions see the
+	// same unvisited-edge count the uninterrupted run would have). Both
+	// absent when the direction layer is inactive.
 	var dirs []int64
 	var visited []bool
 	if ds != nil {
@@ -267,17 +266,17 @@ func (ck *ckptRun) record(step int, live int64, res *Result, halted []bool, send
 		}
 		visited = append([]bool(nil), ds.visited...)
 	}
-	// Per-superstep retry counts — checkpoint format v5: present exactly
-	// when the retry supervisor is active, so a resumed run's
-	// Result.RetriesPerStep matches an uninterrupted one's.
+	// Per-superstep retry counts: present exactly when the retry
+	// supervisor is active, so a resumed run's Result.RetriesPerStep
+	// matches an uninterrupted one's.
 	var rets []int64
 	if ck.sup != nil && ck.sup.maxRetries > 0 {
 		rets = append([]int64(nil), ck.sup.retries...)
 	}
-	// Program-owned auxiliary state — checkpoint format v7: MultiBFS's
-	// packed per-lane levels and the like. The compute sweep confines aux
-	// writes to the computing vertex's own words, so at a boundary the
-	// slice is quiescent and a plain copy captures it exactly.
+	// Program-owned auxiliary state: MultiBFS's packed per-lane levels and
+	// the like. The compute sweep confines aux writes to the computing
+	// vertex's own words, so at a boundary the slice is quiescent and a
+	// plain copy captures it exactly.
 	var aux []int64
 	if len(ck.aux) > 0 {
 		aux = append([]int64(nil), ck.aux...)
@@ -390,13 +389,18 @@ func (ck *ckptRun) emergency() string {
 	return path
 }
 
-// loadResume loads and fingerprint-checks the checkpoint at cfg.Resume.
-func (ck *ckptRun) loadResume(path string) (*ckpt.Snapshot, error) {
+// loadResume loads the checkpoint at cfg.Resume and checks its
+// fingerprint and shape against the run (see fitsRun); dirOn says whether
+// the run's direction layer is active.
+func (ck *ckptRun) loadResume(path string, dirOn bool) (*ckpt.Snapshot, error) {
 	s, err := ckpt.Load(path)
 	if err != nil {
 		return nil, err
 	}
 	if err := s.FP.Check(ck.fp); err != nil {
+		return nil, err
+	}
+	if err := ck.fitsRun(s, path, dirOn); err != nil {
 		return nil, err
 	}
 	// The loaded snapshot doubles as the resumed run's first boundary
@@ -413,12 +417,12 @@ func (ck *ckptRun) loadResume(path string) (*ckpt.Snapshot, error) {
 // checkpoints at all — a fresh start — but fails when every checkpoint
 // present is damaged: silently recomputing from scratch is worse than
 // making the operator decide.
-func (ck *ckptRun) loadLatest(cfg *Config) (*ckpt.Snapshot, error) {
+func (ck *ckptRun) loadLatest(cfg *Config, dirOn bool) (*ckpt.Snapshot, error) {
 	if ck == nil || ck.policy == nil || ck.policy.Dir == "" {
 		return nil, fmt.Errorf("core: ResumeLatest requires a checkpoint policy with a directory")
 	}
 	noter := obs.FindFallbackNoter(runSink(cfg))
-	s, _, err := ckpt.ResumeLatestValid(ck.policy.Dir, ck.fp, func(path string, cause error) {
+	s, path, err := ckpt.ResumeLatestValid(ck.policy.Dir, ck.fp, func(path string, cause error) {
 		if noter != nil {
 			noter.NoteFallback(path, cause)
 		}
@@ -430,8 +434,35 @@ func (ck *ckptRun) loadLatest(cfg *Config) (*ckpt.Snapshot, error) {
 		}
 		return nil, err
 	}
+	if err := ck.fitsRun(s, path, dirOn); err != nil {
+		return nil, err
+	}
 	ck.snap = s
 	return s, nil
+}
+
+// fitsRun checks that a snapshot loaded from path carries exactly the
+// optional arrays the resuming run writes: the direction arrays iff the
+// direction layer is active (dirOn), the retry counts iff retry is
+// enabled, and as many aux words as the program owns. The fingerprint
+// pins all three, so after a passing fingerprint check a misfit means the
+// file is damaged, reported as *ckpt.CorruptError. Only snapshots read
+// from disk need this; the retry path's in-memory snapshots come from
+// record and fit by construction.
+func (ck *ckptRun) fitsRun(s *ckpt.Snapshot, path string, dirOn bool) error {
+	retryOn := ck.sup != nil && ck.sup.maxRetries > 0
+	var reason string
+	switch {
+	case (len(s.Directions) > 0) != dirOn:
+		reason = fmt.Sprintf("direction arrays present=%v, run's direction layer active=%v", len(s.Directions) > 0, dirOn)
+	case (len(s.RetriesPerStep) > 0) != retryOn:
+		reason = fmt.Sprintf("retry counters present=%v, run's retry enabled=%v", len(s.RetriesPerStep) > 0, retryOn)
+	case len(s.Aux) != len(ck.aux):
+		reason = fmt.Sprintf("carries %d aux words, program expects %d", len(s.Aux), len(ck.aux))
+	default:
+		return nil
+	}
+	return &ckpt.CorruptError{Path: path, Reason: reason}
 }
 
 // restore applies a loaded snapshot to the run state: vertex states, the
@@ -451,16 +482,12 @@ func restore(s *ckpt.Snapshot, res *Result, halted []bool, master *engineState, 
 			res.DirectionPerStep = append(res.DirectionPerStep, DirectionMode(d))
 		}
 		// Rebuild the visited bitmap and its incident-edge sum from the
-		// snapshot (v≤3 checkpoints carry neither — the bitmap restarts
-		// empty, a documented best-effort for old checkpoints of
-		// pull-capable runs).
+		// snapshot.
+		copy(ds.visited, s.Visited)
 		ds.visitedEdges = 0
-		if len(s.Visited) > 0 {
-			copy(ds.visited, s.Visited)
-			for v := int64(0); v < int64(len(ds.visited)); v++ {
-				if ds.visited[v] {
-					ds.visitedEdges += master.graph.Degree(v)
-				}
+		for v := int64(0); v < int64(len(ds.visited)); v++ {
+			if ds.visited[v] {
+				ds.visitedEdges += master.graph.Degree(v)
 			}
 		}
 	}

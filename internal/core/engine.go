@@ -24,9 +24,9 @@
 // # Host parallelism
 //
 // Run executes supersteps on all host cores via package par — the compute
-// sweep over worker-independent chunks (degree-weighted by default, so a
-// skewed graph's hub vertices don't unbalance the sweep; see ChunkSchedule
-// in parallel.go) with private per-chunk contexts merged in chunk index
+// sweep over worker-independent chunks (degree-weighted, so a skewed
+// graph's hub vertices don't unbalance the sweep; see sweepBoundaries in
+// parallel.go) with private per-chunk contexts merged in chunk index
 // order, delivery as a stable parallel counting sort, and the
 // sparse-activation worklist as a stamp-ordered dense sweep (see
 // parallel.go). The package invariant is that the host worker count
@@ -126,12 +126,6 @@ type Config struct {
 	// magnitude larger" in BSP — with sparse activation that overhead
 	// disappears (see experiments.AblationActivation).
 	SparseActivation bool
-	// Chunking selects how the compute sweep is partitioned into chunks.
-	// The zero value (ChunkAuto) selects the degree-weighted schedule.
-	// Either schedule is deterministic across worker counts; the choice is
-	// recorded in checkpoint fingerprints, so a resumed run must use the
-	// schedule it started with.
-	Chunking ChunkSchedule
 	// Checkpoint, when non-nil, enables superstep-boundary checkpointing
 	// under the given policy (package ckpt; see checkpoint.go and
 	// docs/ROBUSTNESS.md). nil costs one pointer check per superstep.
@@ -262,6 +256,13 @@ func Run(cfg Config) (*Result, error) {
 	// nil (no MaxRetries, no timeouts) costs one pointer check per
 	// superstep (supervise.go).
 	sup := startSup(&cfg)
+	// ds is the direction-decision state; nil (program not pull-capable,
+	// mode auto) is the legacy engine and costs one pointer check per
+	// superstep.
+	ds, err := startDir(&cfg, g)
+	if err != nil {
+		return nil, err
+	}
 	// ck is the checkpoint/interrupt state; nil (no policy, no stop
 	// channel, no resume, no supervisor) costs one pointer check per
 	// superstep boundary.
@@ -269,7 +270,7 @@ func Run(cfg Config) (*Result, error) {
 	var resumeSnap *ckpt.Snapshot
 	switch {
 	case cfg.Resume != "":
-		s, err := ck.loadResume(cfg.Resume)
+		s, err := ck.loadResume(cfg.Resume, ds != nil)
 		if err != nil {
 			return nil, err
 		}
@@ -278,7 +279,7 @@ func Run(cfg Config) (*Result, error) {
 		// Fallback chain: newest valid checkpoint in the policy's
 		// directory, or a fresh start when the directory has none (and no
 		// damaged ones either).
-		s, err := ck.loadLatest(&cfg)
+		s, err := ck.loadLatest(&cfg, ds != nil)
 		if err != nil {
 			return nil, err
 		}
@@ -289,13 +290,6 @@ func Run(cfg Config) (*Result, error) {
 		if sup.maxRetries > 0 {
 			sup.retries = append(sup.retries, resumeSnap.RetriesPerStep...)
 		}
-	}
-	// ds is the direction-decision state; nil (program not pull-capable,
-	// mode auto) is the legacy engine and costs one pointer check per
-	// superstep.
-	ds, err := startDir(&cfg, g)
-	if err != nil {
-		return nil, err
 	}
 	// o is the observability state; nil (no sink) costs one pointer check
 	// per hook below. tObs is only written/read when o != nil.
@@ -406,17 +400,8 @@ func Run(cfg Config) (*Result, error) {
 		// code the original boundary used, so every downstream quantity is
 		// bit-identical to the uninterrupted run's.
 		live = restore(resumeSnap, res, halted, master, ds, cfg.Recorder)
-		if len(progAux) > 0 {
-			// Program-owned aux state (format v7). A pre-v7 checkpoint of an
-			// aux-bearing program — or one taken under a different batch
-			// shape — cannot resume: the levels recorded before the boundary
-			// are gone, and silently restarting them would corrupt every
-			// per-source distance.
-			if len(resumeSnap.Aux) != len(progAux) {
-				return nil, fmt.Errorf("core: checkpoint carries %d aux words, program expects %d (checkpoint predates format v7 or was taken under a different configuration)", len(resumeSnap.Aux), len(progAux))
-			}
-			copy(progAux, resumeSnap.Aux)
-		}
+		// Program-owned aux state; loadResume/loadLatest checked its length.
+		copy(progAux, resumeSnap.Aux)
 		startStep = int(resumeSnap.Step) + 1
 		sendBuf = make([]Message, len(resumeSnap.MsgDest))
 		for i := range sendBuf {
@@ -501,14 +486,14 @@ func Run(cfg Config) (*Result, error) {
 
 			// Compute sweep: worker-independent chunks, each with a private
 			// context, merged in chunk index order below. Chunk boundaries are
-			// a pure function of the schedule, graph, and active set (see
+			// a pure function of the graph and active set (see
 			// sweepBoundaries) — never of the worker count — so results and
 			// profiles are identical at any host configuration.
 			count := int(n)
 			if cfg.SparseActivation {
 				count = len(candidates)
 			}
-			bounds := scratch.sweepBoundaries(g.Offsets(), candidates, cfg.SparseActivation, cfg.Chunking, count)
+			bounds := scratch.sweepBoundaries(g.Offsets(), candidates, cfg.SparseActivation, count)
 			numChunks = len(bounds) - 1
 			if numChunks < 0 {
 				numChunks = 0
@@ -680,25 +665,30 @@ func Run(cfg Config) (*Result, error) {
 		if o != nil {
 			o.phase(obsPhaseTerminate, step, tObs)
 		}
+		// stepStats is the superstep's obs record; the terminal superstep
+		// delivers nothing, so it reports 0 physical and 0 delivered.
+		stepStats := func(physSent, delivered int64) obs.StepStats {
+			st := obs.StepStats{
+				Step: step, Active: active, Sent: sent, SentPhysical: physSent, Delivered: delivered, Received: received,
+				ScratchBytes: scratch.scratchBytes(sendBuf, bcasts, inboxOff, inboxVal, candidates, stamp),
+			}
+			if ds != nil {
+				st.Direction = dirMode.String()
+				st.FrontierEdges = frontierEdges
+				st.UnvisitedEdges = unvisitedEdges
+			}
+			if sup != nil {
+				st.Retries = retried
+				st.Stalled = sup.stalledAt(step)
+			}
+			if len(laneSrc) > 0 {
+				st.Lanes = laneCount(sendBuf, bcasts)
+			}
+			return st
+		}
 		if sent == 0 && live == 0 {
 			if o != nil {
-				st := obs.StepStats{
-					Step: step, Active: active, Sent: sent, Received: received,
-					ScratchBytes: scratch.scratchBytes(sendBuf, bcasts, inboxOff, inboxVal, candidates, stamp),
-				}
-				if ds != nil {
-					st.Direction = dirMode.String()
-					st.FrontierEdges = frontierEdges
-					st.UnvisitedEdges = unvisitedEdges
-				}
-				if sup != nil {
-					st.Retries = retried
-					st.Stalled = sup.stalledAt(step)
-				}
-				if len(laneSrc) > 0 {
-					st.Lanes = laneCount(sendBuf, bcasts)
-				}
-				o.step(st)
+				o.step(stepStats(0, 0))
 			}
 			break
 		}
@@ -735,23 +725,7 @@ func Run(cfg Config) (*Result, error) {
 			}
 		}
 		if o != nil {
-			st := obs.StepStats{
-				Step: step, Active: active, Sent: sent, SentPhysical: physSent, Delivered: delivered, Received: received,
-				ScratchBytes: scratch.scratchBytes(sendBuf, bcasts, inboxOff, inboxVal, candidates, stamp),
-			}
-			if ds != nil {
-				st.Direction = dirMode.String()
-				st.FrontierEdges = frontierEdges
-				st.UnvisitedEdges = unvisitedEdges
-			}
-			if sup != nil {
-				st.Retries = retried
-				st.Stalled = sup.stalledAt(step)
-			}
-			if len(laneSrc) > 0 {
-				st.Lanes = laneCount(sendBuf, bcasts)
-			}
-			o.step(st)
+			o.step(stepStats(physSent, delivered))
 		}
 
 		// Superstep boundary: snapshot/write checkpoints and honor stop

@@ -18,13 +18,12 @@ import (
 //
 //   - The compute sweep is partitioned into chunks whose boundaries are a
 //     pure function of the graph and the active set — never of the worker
-//     count. The default (degree-weighted) schedule splits the CSR degree
-//     prefix sum (graph.Offsets, or the candidate-degree prefix sum under
-//     sparse activation) into near-equal edge-work chunks, so a hub vertex
-//     of a skewed graph cannot make one chunk run targetChunks× longer
-//     than its peers; the legacy fixed schedule splits by vertex count.
-//     Each chunk runs vertices with a private VertexContext — private send
-//     buffer, work-charge accumulators, aggregator partials, wake list and
+//     count. They split the CSR degree prefix sum (graph.Offsets, or the
+//     candidate-degree prefix sum under sparse activation) into near-equal
+//     edge-work chunks, so a hub vertex of a skewed graph cannot make one
+//     chunk run targetChunks× longer than its peers. Each chunk runs
+//     vertices with a private VertexContext — private send buffer,
+//     work-charge accumulators, aggregator partials, wake list and
 //     halt-transition counter — and the partials are merged in chunk index
 //     order after the sweep. Concatenating per-chunk send buffers in chunk
 //     order reproduces exactly the send order of a sequential sweep.
@@ -57,74 +56,13 @@ import (
 //   - Aggregators fold per chunk and the chunk partials fold in chunk
 //     index order. Chunk boundaries are worker-independent, so the fold
 //     tree — and therefore the result, even for non-associative
-//     reductions — is too. (Because the fold tree follows chunk
-//     boundaries, the chunk schedule is part of a checkpoint's fingerprint:
-//     a run may only resume under the schedule it started with.)
+//     reductions — is too.
 
-// ChunkSchedule selects how Run partitions the compute sweep into chunks.
-// Both schedules are deterministic — boundaries are a pure function of the
-// graph and the active set — so either yields bit-identical results and
-// profiles at any worker count; they may differ from each other only for
-// non-associative aggregator reductions (the fold tree follows chunk
-// boundaries), which is why the schedule is part of checkpoint
-// fingerprints.
-type ChunkSchedule int
-
-const (
-	// ChunkAuto selects the engine default, ChunkDegree.
-	ChunkAuto ChunkSchedule = iota
-	// ChunkDegree splits the degree prefix sum (the CSR offsets, or the
-	// candidate-degree prefix under sparse activation) into near-equal
-	// edge-work chunks — the schedule for skewed (RMAT, power-law) graphs,
-	// where per-vertex work is dominated by adjacency size.
-	ChunkDegree
-	// ChunkFixed splits the sweep into fixed vertex-count chunks — the
-	// legacy schedule, kept for A/B benchmarking and old checkpoints.
-	ChunkFixed
-)
-
-// resolve maps ChunkAuto to the engine default.
-func (s ChunkSchedule) resolve() ChunkSchedule {
-	if s == ChunkAuto {
-		return ChunkDegree
-	}
-	return s
-}
-
-// String returns the schedule's fingerprint name ("degree" or "fixed").
-func (s ChunkSchedule) String() string {
-	if s.resolve() == ChunkFixed {
-		return "fixed"
-	}
-	return "degree"
-}
-
-// WithChunking selects the sweep chunk schedule (see Config.Chunking).
-func WithChunking(s ChunkSchedule) Option {
-	return func(c *Config) { c.Chunking = s }
-}
-
-// sweepChunkSize returns the fixed chunk size used to partition a sweep of
-// count items. It depends only on count — never on the worker count — so
-// chunk boundaries, and every merge keyed on chunk index, are identical
-// across host configurations. It drives the ChunkFixed schedule and the
-// delivery/worklist compaction sweeps, whose outputs do not depend on the
-// partitioning at all.
-func sweepChunkSize(count int) int {
-	const (
-		minChunk     = 64
-		targetChunks = 256
-	)
-	cs := count / targetChunks
-	if cs < minChunk {
-		cs = minChunk
-	}
-	return cs
-}
-
-// sweepTargetChunks is the chunk-count target of the weighted schedules:
-// the same 256-chunk / 64-vertex-minimum shape as sweepChunkSize, expressed
-// as a count. Depends only on count.
+// sweepTargetChunks is the chunk count a sweep of count items is split
+// into: about 256 chunks, but none targeting fewer than 64 items. It
+// depends only on count — never on the worker count — so chunk boundaries,
+// and every merge keyed on chunk index, are identical across host
+// configurations.
 func sweepTargetChunks(count int) int {
 	const (
 		minChunk     = 64
@@ -140,10 +78,10 @@ func sweepTargetChunks(count int) int {
 	return c
 }
 
-// sweepVertexWork is the constant per-vertex weight the degree-weighted
-// schedule adds to each vertex's degree: it accounts for the fixed
-// per-vertex dispatch cost, so zero-degree stretches still split instead
-// of collapsing into one chunk.
+// sweepVertexWork is the constant per-vertex weight the sweep schedule
+// adds to each vertex's degree: it accounts for the fixed per-vertex
+// dispatch cost, so zero-degree stretches still split instead of
+// collapsing into one chunk.
 const sweepVertexWork = 4
 
 // deliverParallelMin is the message count below which delivery runs over
@@ -356,9 +294,10 @@ type runScratch struct {
 	bounds      []int
 	denseBounds []int
 	candWork    []int64 // candidate-degree prefix sum, len count+1
-	// sweepWork is the active sweep's work prefix (nil under ChunkFixed):
-	// sweepWork(hi) - sweepWork(lo) - sweepVertexWork*(hi-lo) is the degree
-	// sum of chunk [lo, hi) — the presize hint for its send buffer.
+	// sweepWork is the active sweep's work prefix (nil for a one-chunk
+	// sparse sweep): sweepWork(hi) - sweepWork(lo) - sweepVertexWork*(hi-lo)
+	// is the degree sum of chunk [lo, hi) — the presize hint for its send
+	// buffer.
 	sweepWork   func(i int) int64
 	densePrefix func(i int) int64 // memoized closure over the graph offsets
 	candPrefix  func(i int) int64 // memoized closure over candWork
@@ -455,30 +394,18 @@ func (s *runScratch) ensureChunks(numChunks int, master *engineState, visited []
 
 // sweepBoundaries computes the compute sweep's chunk boundaries for one
 // superstep: a strictly increasing []int starting at 0 and ending at count,
-// a pure function of (schedule, graph offsets, active set) — never of the
-// worker count. Under ChunkDegree it splits the work prefix sum (degree +
-// sweepVertexWork per item) into sweepTargetChunks near-equal chunks: the
-// dense prefix is the CSR offsets themselves (computed once per run and
-// cached, since the dense sweep is always over all n vertices); the sparse
-// prefix is built per superstep over the candidate degrees. Under
-// ChunkFixed it replicates the legacy sweepChunkSize partition. It also
-// sets s.sweepWork so callers can presize per-chunk send buffers.
-func (s *runScratch) sweepBoundaries(off []int64, candidates []int64, sparse bool, sched ChunkSchedule, count int) []int {
+// a pure function of (graph offsets, active set) — never of the worker
+// count. It splits the work prefix sum (degree + sweepVertexWork per item)
+// into sweepTargetChunks near-equal chunks: the dense prefix is the CSR
+// offsets themselves (computed once per run and cached, since the dense
+// sweep is always over all n vertices); the sparse prefix is built per
+// superstep over the candidate degrees. It also sets s.sweepWork so
+// callers can presize per-chunk send buffers.
+func (s *runScratch) sweepBoundaries(off []int64, candidates []int64, sparse bool, count int) []int {
 	if count <= 0 {
 		s.sweepWork = nil
 		s.bounds = append(s.bounds[:0], 0)
 		return s.bounds
-	}
-	if sched.resolve() == ChunkFixed {
-		s.sweepWork = nil
-		cs := sweepChunkSize(count)
-		b := s.bounds[:0]
-		for lo := 0; lo < count; lo += cs {
-			b = append(b, lo)
-		}
-		b = append(b, count)
-		s.bounds = b
-		return b
 	}
 	if sparse && sweepTargetChunks(count) == 1 {
 		// One chunk no matter how the weights fall — skip the per-superstep
@@ -524,9 +451,9 @@ func (s *runScratch) sweepBoundaries(off []int64, candidates []int64, sparse boo
 }
 
 // chunkSendHint returns the presize hint for chunk [lo, hi)'s send buffer:
-// its degree sum under the active weighted schedule, or 0 (no hint) under
-// ChunkFixed. An exact bound for flood-style programs that send one
-// message per edge; a floor for chattier ones.
+// its degree sum, or 0 (no hint) when the sweep built no work prefix. An
+// exact bound for flood-style programs that send one message per edge; a
+// floor for chattier ones.
 func (s *runScratch) chunkSendHint(lo, hi int) int {
 	if s.sweepWork == nil {
 		return 0
@@ -1640,7 +1567,10 @@ func (s *runScratch) nextWorklist(candidates []int64, step int, wake []int64, de
 				stamp[wake[i]] = st
 			}
 		})
-		rcs := sweepChunkSize(int(n))
+		// Ranges of the sweep schedule's chunk length; the output does not
+		// depend on the partitioning at all.
+		tc := sweepTargetChunks(int(n))
+		rcs := max((int(n)+tc-1)/tc, 1)
 		numR := (int(n) + rcs - 1) / rcs
 		s.rangeCnt = ensureInt64(s.rangeCnt, numR)
 		rangeCnt := s.rangeCnt

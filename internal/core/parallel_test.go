@@ -270,11 +270,11 @@ func TestSweepChunkSizeDeterministic(t *testing.T) {
 	// this.
 	for _, count := range []int{0, 1, 63, 64, 4096, 1 << 20} {
 		defer par.SetWorkers(par.SetWorkers(1))
-		a := sweepChunkSize(count)
+		a := sweepTargetChunks(count)
 		par.SetWorkers(16)
-		b := sweepChunkSize(count)
+		b := sweepTargetChunks(count)
 		if a != b {
-			t.Fatalf("sweepChunkSize(%d) differs across worker counts: %d vs %d", count, a, b)
+			t.Fatalf("sweepTargetChunks(%d) differs across worker counts: %d vs %d", count, a, b)
 		}
 	}
 }

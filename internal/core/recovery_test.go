@@ -431,6 +431,77 @@ func TestResumeRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestResumeRejectsMisfitSnapshot: a snapshot whose CRC and fingerprint
+// check out but whose optional arrays do not fit the resuming run — the
+// direction arrays missing while the direction layer is on, retry counts
+// present without retry (or absent with it), aux words for a program that
+// owns none — is damaged. Both disk-resume paths (Resume and ResumeLatest)
+// reject it as a typed CorruptError.
+func TestResumeRejectsMisfitSnapshot(t *testing.T) {
+	g, err := gen.RMAT(gen.RMATConfig{Scale: 8, EdgeFactor: 8, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	plan := &faultinject.Plan{KillAt: map[int64]bool{1: true}}
+	// CC is pull-capable, so the direction layer is on under DirAuto.
+	cfg := core.Config{
+		Program:    bspalg.CCProgram{},
+		Combiner:   core.Min,
+		Checkpoint: &ckpt.Policy{Dir: dir, Hooks: plan.Hooks()},
+	}
+	_, _, err = runRec(g, 1, cfg)
+	var ie *core.InterruptedError
+	if !errors.As(err, &ie) {
+		t.Fatalf("want InterruptedError, got %v", err)
+	}
+
+	cases := []struct {
+		name       string
+		maxRetries int
+		damage     func(s *ckpt.Snapshot)
+	}{
+		{"direction arrays absent", 0, func(s *ckpt.Snapshot) {
+			s.Directions, s.Visited = nil, nil
+		}},
+		{"retry counts without retry", 0, func(s *ckpt.Snapshot) {
+			s.RetriesPerStep = make([]int64, s.Step+1)
+		}},
+		{"retry counts absent with retry", 1, func(s *ckpt.Snapshot) {
+			s.FP.Retries = 1
+		}},
+		{"aux words without aux state", 0, func(s *ckpt.Snapshot) {
+			s.Aux = []int64{1, 2, 3}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := ckpt.Load(ie.CheckpointPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.damage(s)
+			bad := t.TempDir()
+			path, err := ckpt.WriteFile(bad, s, ckpt.FileName(s.Step), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, resume := range []func(c *core.Config){
+				func(c *core.Config) { c.Resume = path },
+				func(c *core.Config) { c.Checkpoint, c.ResumeLatest = &ckpt.Policy{Dir: bad}, true },
+			} {
+				c := core.Config{Program: bspalg.CCProgram{}, Combiner: core.Min, MaxRetries: tc.maxRetries}
+				resume(&c)
+				_, _, err := runRec(g, 1, c)
+				var ce *ckpt.CorruptError
+				if !errors.As(err, &ce) {
+					t.Fatalf("resume=%q latest=%v: want CorruptError, got %v", c.Resume, c.ResumeLatest, err)
+				}
+			}
+		})
+	}
+}
+
 // TestCheckpointCadenceAndRetention: EveryN gates disk writes, Keep prunes
 // old checkpoints, and LatestPath resumes to a bit-identical result.
 func TestCheckpointCadenceAndRetention(t *testing.T) {

@@ -1,14 +1,12 @@
 package core_test
 
-// Degree-skew determinism: the worst imbalance a chunking schedule can
-// face is a star graph, whose hub has degree N-1 while every other vertex
-// has degree 1. Under fixed vertex-count chunking the hub's chunk carries
-// almost all the work; under degree-weighted chunking the hub is isolated
-// into its own narrow chunk. Either way the engine's invariant must hold:
-// Result and trace profile bit-identical at any worker count — and, for
-// the associative combiners and aggregators these programs use, across
-// the two schedules as well. The hub also funnels >= hubFoldMin messages
-// into one inbox, exercising the combining path's segment prefold.
+// Degree-skew determinism: the worst imbalance a sweep can face is a star
+// graph, whose hub has degree N-1 while every other vertex has degree 1.
+// The degree-weighted sweep schedule isolates the hub into its own narrow
+// chunk, and the engine's invariant must hold: Result and trace profile
+// bit-identical at any worker count. The hub also funnels >= hubFoldMin
+// messages into one inbox, exercising the combining path's segment
+// prefold.
 
 import (
 	"errors"
@@ -61,35 +59,20 @@ func skewCases(g *graph.Graph) []struct {
 }
 
 // TestSkewDeterminismStar asserts bit-identical Result + profile at 1/3/8
-// workers under BOTH chunk schedules on the star graph, and that the two
-// schedules agree with each other (these programs' reductions are
-// associative, so the schedule cannot change answers).
+// workers on the star graph.
 func TestSkewDeterminismStar(t *testing.T) {
 	g := gen.Star(skewN)
 	for _, tc := range skewCases(g) {
 		t.Run(tc.name, func(t *testing.T) {
-			var baseline *core.Result
-			for _, sched := range []core.ChunkSchedule{core.ChunkDegree, core.ChunkFixed} {
-				mk := func() core.Config {
-					cfg := tc.mk()
-					cfg.Chunking = sched
-					return cfg
+			baseRes, basePh := runDet(t, g, 1, tc.mk)
+			for _, w := range []int{3, 8} {
+				res, ph := runDet(t, g, w, tc.mk)
+				if !reflect.DeepEqual(baseRes, res) {
+					t.Fatalf("w=%d: Result differs from 1-worker run\n  supersteps %d vs %d\n  active %v vs %v",
+						w, baseRes.Supersteps, res.Supersteps,
+						baseRes.ActivePerStep, res.ActivePerStep)
 				}
-				baseRes, basePh := runDet(t, g, 1, mk)
-				for _, w := range []int{3, 8} {
-					res, ph := runDet(t, g, w, mk)
-					if !reflect.DeepEqual(baseRes, res) {
-						t.Fatalf("%v w=%d: Result differs from 1-worker run\n  supersteps %d vs %d\n  active %v vs %v",
-							sched, w, baseRes.Supersteps, res.Supersteps,
-							baseRes.ActivePerStep, res.ActivePerStep)
-					}
-					comparePhases(t, basePh, ph)
-				}
-				if baseline == nil {
-					baseline = baseRes
-				} else if !reflect.DeepEqual(baseline, baseRes) {
-					t.Fatalf("schedules disagree: degree vs fixed Results differ")
-				}
+				comparePhases(t, basePh, ph)
 			}
 		})
 	}
@@ -105,31 +88,24 @@ func TestSkewDeterminismPowerLaw(t *testing.T) {
 	}
 	for _, tc := range skewCases(g) {
 		t.Run(tc.name, func(t *testing.T) {
-			for _, sched := range []core.ChunkSchedule{core.ChunkDegree, core.ChunkFixed} {
-				mk := func() core.Config {
-					cfg := tc.mk()
-					cfg.Chunking = sched
-					return cfg
-				}
-				baseRes, basePh := runDet(t, g, 1, mk)
-				res, ph := runDet(t, g, 8, mk)
-				if !reflect.DeepEqual(baseRes, res) {
-					t.Fatalf("%v: Result differs at w=8", sched)
-				}
-				comparePhases(t, basePh, ph)
+			baseRes, basePh := runDet(t, g, 1, tc.mk)
+			res, ph := runDet(t, g, 8, tc.mk)
+			if !reflect.DeepEqual(baseRes, res) {
+				t.Fatalf("Result differs at w=8")
 			}
+			comparePhases(t, basePh, ph)
 		})
 	}
 }
 
 // TestSkewRecoveryStar kills a CC run on the star at every superstep
-// boundary and resumes it under the degree-weighted schedule: resumed
-// Result and profile must match the uninterrupted run bit-for-bit, at
-// multiple worker counts (the resume-mid-run case on a skewed graph).
+// boundary and resumes it: resumed Result and profile must match the
+// uninterrupted run bit-for-bit, at multiple worker counts (the
+// resume-mid-run case on a skewed graph).
 func TestSkewRecoveryStar(t *testing.T) {
 	g := gen.Star(skewN)
 	mk := func() core.Config {
-		return core.Config{Program: bspalg.CCProgram{}, Combiner: core.Min, Chunking: core.ChunkDegree}
+		return core.Config{Program: bspalg.CCProgram{}, Combiner: core.Min}
 	}
 	for _, w := range []int{1, 8} {
 		t.Run(fmt.Sprintf("w=%d", w), func(t *testing.T) {
@@ -161,49 +137,5 @@ func TestSkewRecoveryStar(t *testing.T) {
 				comparePhases(t, basePh, ph)
 			}
 		})
-	}
-}
-
-// TestScheduleFingerprintMismatch: a checkpoint taken under one chunk
-// schedule must refuse to resume under the other — aggregator fold trees
-// follow chunk boundaries, so silently switching schedules could change
-// non-associative reductions.
-func TestScheduleFingerprintMismatch(t *testing.T) {
-	g := gen.Star(1 << 10)
-	dir := t.TempDir()
-	plan := &faultinject.Plan{KillAt: map[int64]bool{1: true}}
-	cfg := core.Config{
-		Program:    bspalg.CCProgram{},
-		Combiner:   core.Min,
-		Chunking:   core.ChunkDegree,
-		Checkpoint: &ckpt.Policy{Dir: dir, Hooks: plan.Hooks()},
-	}
-	_, _, err := runRec(g, 1, cfg)
-	var ie *core.InterruptedError
-	if !errors.As(err, &ie) {
-		t.Fatalf("want InterruptedError, got %v", err)
-	}
-
-	resume := core.Config{
-		Program:  bspalg.CCProgram{},
-		Combiner: core.Min,
-		Chunking: core.ChunkFixed,
-		Resume:   ie.CheckpointPath,
-	}
-	_, _, err = runRec(g, 1, resume)
-	var me *ckpt.MismatchError
-	if !errors.As(err, &me) {
-		t.Fatalf("want MismatchError, got %v", err)
-	}
-	if me.Field != "chunk schedule" || me.Got != "degree" || me.Want != "fixed" {
-		t.Fatalf("MismatchError = %+v, want chunk schedule degree vs fixed", me)
-	}
-
-	// The matching schedule (and the ChunkAuto alias for it) resumes fine.
-	for _, sched := range []core.ChunkSchedule{core.ChunkDegree, core.ChunkAuto} {
-		resume.Chunking = sched
-		if _, _, err := runRec(g, 1, resume); err != nil {
-			t.Fatalf("resume with %v: %v", sched, err)
-		}
 	}
 }

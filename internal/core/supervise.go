@@ -234,10 +234,8 @@ func (sp *supRun) runExpired() bool {
 func (sp *supRun) rollbackTo(snap *ckpt.Snapshot, halted []bool, aux []int64, master *engineState, ds *dirState, scratch *runScratch, rec *trace.Recorder) {
 	copy(master.states, snap.States)
 	copy(halted, snap.Halted)
-	if len(aux) > 0 && len(snap.Aux) == len(aux) {
-		copy(aux, snap.Aux)
-	}
-	if ds != nil && len(snap.Visited) > 0 {
+	copy(aux, snap.Aux)
+	if ds != nil {
 		copy(ds.visited, snap.Visited)
 	}
 	for _, cs := range scratch.chunks {

@@ -256,10 +256,10 @@ func (r *reportRun) render(w io.Writer, maxRows int) error {
 	fmt.Fprintln(w)
 
 	// Load imbalance per phase: the run's longest single chunk over the
-	// mean chunk busy time. 1.0x means perfectly even chunks; a large
-	// factor on "compute" is the signature of a degree-skewed graph under
-	// fixed vertex-count chunking (the degree-weighted schedule drives it
-	// toward 1).
+	// mean chunk busy time. 1.0x means perfectly even chunks; the
+	// degree-weighted sweep schedule keeps "compute" near 1 even on
+	// degree-skewed graphs, so a large factor there points at one costly
+	// vertex rather than at the partitioning.
 	if imb := r.imbalanceLine(); imb != "" {
 		fmt.Fprintf(w, "chunk imbalance (max/mean):%s\n", imb)
 	}
